@@ -1,17 +1,15 @@
 /**
  * @file
- * google-benchmark comparison of the two EventQueue implementations
- * (calendar wheel vs legacy binary heap) at the delta mixes the
+ * google-benchmark of the calendar EventQueue at the delta mixes the
  * simulator actually generates:
  *
  *  - hot mix: the handful of short fixed deltas that dominate event
  *    traffic (NoC hop latency, TLB/IOMMU pipeline stages, HBM
  *    latency), with same-tick pileups,
  *  - deep steady state: schedule/pop churn against a large pending
- *    population, where heap sift depth (and its 136-byte entry moves)
- *    is at its worst,
+ *    population,
  *  - far future: observer-style deltas beyond the wheel width, the
- *    calendar queue's overflow tier.
+ *    overflow tier.
  *
  * Each benchmark reports items/s where an item is one schedule+pop
  * pair. perf_snapshot.sh records the suite into BENCH_micro.json.
@@ -30,19 +28,6 @@ namespace hdpat
 namespace
 {
 
-EventQueueImpl
-implArg(const benchmark::State &state)
-{
-    return state.range(0) == 0 ? EventQueueImpl::Calendar
-                               : EventQueueImpl::Heap;
-}
-
-void
-setImplLabel(benchmark::State &state)
-{
-    state.SetLabel(eventQueueImplName(implArg(state)));
-}
-
 /** The simulator's short fixed deltas, weighted toward NoC hops. */
 constexpr std::array<Tick, 8> kHotDeltas = {1, 1, 2, 3, 4, 12, 40, 160};
 
@@ -54,8 +39,7 @@ constexpr std::array<Tick, 8> kHotDeltas = {1, 1, 2, 3, 4, 12, 40, 160};
 void
 BM_EventQueueHotMix(benchmark::State &state)
 {
-    setImplLabel(state);
-    EventQueue q(implArg(state));
+    EventQueue q;
     q.reserve(1024);
     Rng rng(42);
     Tick now = 0;
@@ -74,21 +58,19 @@ BM_EventQueueHotMix(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EventQueueHotMix)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueHotMix);
 
 /**
  * Steady-state churn against a deep pending population (the wafer at
  * full tilt: every GPM's outstanding window in flight). One schedule
- * + one pop per item keeps the population constant, so the heap works
- * at its full sift depth while the wheel stays O(1).
+ * + one pop per item keeps the population constant.
  */
 void
 BM_EventQueueDeepSteadyState(benchmark::State &state)
 {
-    setImplLabel(state);
     const std::size_t population =
-        static_cast<std::size_t>(state.range(1));
-    EventQueue q(implArg(state));
+        static_cast<std::size_t>(state.range(0));
+    EventQueue q;
     q.reserve(population + 64);
     Rng rng(7);
     Tick now = 0;
@@ -104,23 +86,17 @@ BM_EventQueueDeepSteadyState(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
     q.clear();
 }
-BENCHMARK(BM_EventQueueDeepSteadyState)
-    ->Args({0, 4096})
-    ->Args({1, 4096})
-    ->Args({0, 32768})
-    ->Args({1, 32768});
+BENCHMARK(BM_EventQueueDeepSteadyState)->Arg(4096)->Arg(32768);
 
 /**
  * Far-future traffic: observer-style deltas beyond the 4096-tick
- * wheel, so every calendar event rides the overflow min-heap. This is
- * the calendar queue's worst case; it must stay within a small factor
- * of the legacy heap, which handles all deltas identically.
+ * wheel, so every event rides the overflow min-heap -- the calendar
+ * queue's worst case.
  */
 void
 BM_EventQueueFarFuture(benchmark::State &state)
 {
-    setImplLabel(state);
-    EventQueue q(implArg(state));
+    EventQueue q;
     q.reserve(1024);
     Rng rng(99);
     Tick now = 0;
@@ -133,7 +109,7 @@ BM_EventQueueFarFuture(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EventQueueFarFuture)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueFarFuture);
 
 } // namespace
 } // namespace hdpat

@@ -4,11 +4,11 @@
  *
  * Samples random SystemConfig x TranslationPolicy x workload points
  * (see src/fuzz/sampler.cc for the distribution), runs each in a
- * fork-isolated harness under the eight oracles listed in
+ * fork-isolated harness under the seven oracles listed in
  * src/fuzz/harness.hh (conservation audit, PPN reference, runMany
  * ordering and NoC-fusion differentials, latency conservation, the
- * backpressure Little's-law identity, the tenancy staleness oracle,
- * and the domain-parallel differential), then greedily shrinks any
+ * backpressure Little's-law identity, and the tenancy staleness
+ * oracle), then greedily shrinks any
  * failure to a minimal reproducer and writes it as a `.fuzzcase`
  * file ready for tests/fuzz_corpus/.
  *
@@ -48,12 +48,8 @@ struct Options
     std::string outDir = "fuzz-failures";
     unsigned timeoutSeconds = 60;
     std::vector<std::string> replays;
-    /** -1 = leave each case's heapEventQueue field alone. */
-    int forceHeapEventQueue = -1;
     /** Force every sampled case multi-tenant (staleness sweeps). */
     bool forceMultiTenant = false;
-    /** -1 = leave each case's domains field alone. */
-    int forceDomains = -1;
 };
 
 void
@@ -70,19 +66,9 @@ usage(const char *argv0)
         << "  --timeout SEC  per-case wall-clock budget (default 60)\n"
         << "  --replay FILE  run a .fuzzcase file instead of sampling\n"
         << "                 (repeatable; skips the random sweep)\n"
-        << "  --eventq IMPL  force every case onto one event-queue\n"
-        << "                 implementation (heap | calendar); default\n"
-        << "                 is each case's own heapEventQueue field\n"
         << "  --multi-tenant force every sampled case multi-tenant\n"
         << "                 (>=2 ASIDs with switch + churn arrivals),\n"
-        << "                 a directed sweep of the staleness oracle\n"
-        << "  --domains K    force every case's domain-parallel shard\n"
-        << "                 count (1 = serial); default is each\n"
-        << "                 case's own domains field. The harness\n"
-        << "                 cross-checks serial vs sharded either\n"
-        << "                 way, so --domains 2 makes every replayed\n"
-        << "                 corpus case exercise the parallel\n"
-        << "                 scheduler\n";
+        << "                 a directed sweep of the staleness oracle\n";
     std::exit(1);
 }
 
@@ -108,35 +94,12 @@ parseArgs(int argc, char **argv)
                 static_cast<unsigned>(std::atoi(value(i)));
         else if (arg == "--replay")
             opt.replays.emplace_back(value(i));
-        else if (arg == "--eventq") {
-            const std::string impl = value(i);
-            if (impl == "heap")
-                opt.forceHeapEventQueue = 1;
-            else if (impl == "calendar")
-                opt.forceHeapEventQueue = 0;
-            else
-                usage(argv[0]);
-        } else if (arg == "--multi-tenant")
+        else if (arg == "--multi-tenant")
             opt.forceMultiTenant = true;
-        else if (arg == "--domains") {
-            opt.forceDomains = std::atoi(value(i));
-            if (opt.forceDomains < 1)
-                usage(argv[0]);
-        } else
+        else
             usage(argv[0]);
     }
     return opt;
-}
-
-/** Apply --eventq / --domains to one case (no-ops when absent). */
-FuzzCase
-withEventQueueChoice(FuzzCase c, const Options &opt)
-{
-    if (opt.forceHeapEventQueue >= 0)
-        c.heapEventQueue = opt.forceHeapEventQueue;
-    if (opt.forceDomains >= 1)
-        c.domains = opt.forceDomains;
-    return c;
 }
 
 /** Apply --multi-tenant: single-tenant samples get tenants + churn. */
@@ -218,8 +181,7 @@ replayFiles(const Options &opt)
             ++failures;
             continue;
         }
-        const FuzzOutcome outcome = runFuzzCase(
-            withEventQueueChoice(*c, opt), opt.timeoutSeconds);
+        const FuzzOutcome outcome = runFuzzCase(*c, opt.timeoutSeconds);
         std::cout << path << ": " << fuzzOutcomeKindName(outcome.kind)
                   << "\n";
         if (!outcome.ok()) {
@@ -243,8 +205,7 @@ main(int argc, char **argv)
               << opt.seed << ", oracles: validity-prediction + "
               << "conservation/PPN audit + runMany differential + "
               << "NoC fusion differential + latency conservation + "
-              << "backpressure/Little's law + tenancy staleness + "
-              << "domain-parallel differential"
+              << "backpressure/Little's law + tenancy staleness"
               << (opt.forceMultiTenant ? " (all cases multi-tenant)"
                                        : "")
               << "\n";
@@ -252,8 +213,8 @@ main(int argc, char **argv)
     Rng rng(opt.seed);
     int findings = 0;
     for (int i = 0; i < opt.runs; ++i) {
-        const FuzzCase c = withTenancyChoice(
-            withEventQueueChoice(sampleFuzzCase(rng), opt), opt, rng);
+        const FuzzCase c =
+            withTenancyChoice(sampleFuzzCase(rng), opt, rng);
         const FuzzOutcome outcome = runFuzzCase(c, opt.timeoutSeconds);
         if (outcome.ok()) {
             if ((i + 1) % 20 == 0)

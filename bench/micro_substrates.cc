@@ -25,182 +25,6 @@ namespace hdpat
 namespace
 {
 
-// ---- Legacy (pre-SoA) reference implementations -------------------------
-//
-// Frozen copies of the array-of-structs TLB probe and the slot-loop
-// cuckoo bucket ops the simulator shipped before the data-oriented
-// rewrite. They exist only as head-to-head baselines: the BM_Legacy*
-// benchmarks below measure them against the live SoA/SWAR classes on
-// identical access streams, so the layout win stays visible (and its
-// erosion measurable) in every BENCH_micro.json record.
-
-/** AoS TLB entry, 32+ bytes per way, as before the SoA split. */
-struct LegacyAosTlbEntry
-{
-    Vpn vpn = 0;
-    Pfn pfn = kInvalidPfn;
-    bool remote = false;
-    bool prefetched = false;
-    bool valid = false;
-    std::uint64_t lruStamp = 0;
-};
-
-/** The old Tlb: one vector of entry structs, early-exit probe loop.
- *  Hash and victim policy match the live class exactly, so both sides
- *  of the head-to-head do identical simulated work. */
-class LegacyAosTlb
-{
-  public:
-    LegacyAosTlb(std::size_t num_sets, std::size_t num_ways)
-        : numSets_(num_sets), numWays_(num_ways),
-          entries_(num_sets * num_ways)
-    {
-    }
-
-    std::optional<Pfn> lookup(Vpn vpn)
-    {
-        const std::size_t base = setIndex(vpn) * numWays_;
-        for (std::size_t w = 0; w < numWays_; ++w) {
-            LegacyAosTlbEntry &e = entries_[base + w];
-            if (e.valid && e.vpn == vpn) {
-                e.lruStamp = ++lruClock_;
-                return e.pfn;
-            }
-        }
-        return std::nullopt;
-    }
-
-    void insert(Vpn vpn, Pfn pfn)
-    {
-        const std::size_t base = setIndex(vpn) * numWays_;
-        std::size_t victim = base;
-        for (std::size_t w = 0; w < numWays_; ++w) {
-            LegacyAosTlbEntry &e = entries_[base + w];
-            if (e.valid && e.vpn == vpn) {
-                e.pfn = pfn;
-                e.lruStamp = ++lruClock_;
-                return;
-            }
-            if (!e.valid) {
-                victim = base + w;
-                break;
-            }
-            if (entries_[victim].valid &&
-                e.lruStamp < entries_[victim].lruStamp)
-                victim = base + w;
-        }
-        entries_[victim] = {vpn, pfn, false, false, true, ++lruClock_};
-    }
-
-  private:
-    std::size_t setIndex(Vpn vpn) const
-    {
-        std::uint64_t x = vpn;
-        x ^= x >> 17;
-        x *= 0xed5ad4bbull;
-        return static_cast<std::size_t>(x % numSets_);
-    }
-
-    std::size_t numSets_;
-    std::size_t numWays_;
-    std::vector<LegacyAosTlbEntry> entries_;
-    std::uint64_t lruClock_ = 0;
-};
-
-/** The old cuckoo filter: identical hashing and bucket layout to the
- *  live CuckooFilter, but slot-at-a-time loops instead of the SWAR
- *  word ops (insert path only as far as the benchmarks need it). */
-class LegacyCuckooFilter
-{
-  public:
-    explicit LegacyCuckooFilter(std::size_t capacity,
-                                unsigned fp_bits = 12,
-                                std::uint64_t seed = 0x5bd1e995u)
-        : fpBits_(fp_bits), seed_(seed)
-    {
-        std::size_t wanted =
-            static_cast<std::size_t>(static_cast<double>(capacity) /
-                                     (kSlots * 0.95)) + 1;
-        numBuckets_ = 2;
-        while (numBuckets_ < wanted)
-            numBuckets_ <<= 1;
-        table_.assign(numBuckets_ * kSlots, 0);
-    }
-
-    bool insert(Vpn vpn)
-    {
-        const std::uint16_t fp = fingerprintOf(vpn);
-        const std::size_t i1 = indexOf(vpn);
-        return bucketInsert(i1, fp) || bucketInsert(altIndex(i1, fp), fp);
-    }
-
-    bool contains(Vpn vpn) const
-    {
-        const std::uint16_t fp = fingerprintOf(vpn);
-        const std::size_t i1 = indexOf(vpn);
-        return bucketContains(i1, fp) ||
-               bucketContains(altIndex(i1, fp), fp);
-    }
-
-  private:
-    static constexpr unsigned kSlots = 4;
-
-    std::uint64_t hash(std::uint64_t x) const
-    {
-        x ^= seed_;
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdull;
-        x ^= x >> 33;
-        x *= 0xc4ceb9fe1a85ec53ull;
-        x ^= x >> 33;
-        return x;
-    }
-
-    std::uint16_t fingerprintOf(Vpn vpn) const
-    {
-        const std::uint64_t h = hash(vpn * 0x9e3779b97f4a7c15ull + 1);
-        const std::uint16_t fp = static_cast<std::uint16_t>(
-            h & ((std::uint64_t{1} << fpBits_) - 1));
-        return fp == 0 ? 1 : fp;
-    }
-
-    std::size_t indexOf(Vpn vpn) const
-    {
-        return static_cast<std::size_t>(hash(vpn)) & (numBuckets_ - 1);
-    }
-
-    std::size_t altIndex(std::size_t idx, std::uint16_t fp) const
-    {
-        return (idx ^ static_cast<std::size_t>(hash(fp))) &
-               (numBuckets_ - 1);
-    }
-
-    bool bucketInsert(std::size_t bucket, std::uint16_t fp)
-    {
-        for (unsigned s = 0; s < kSlots; ++s) {
-            auto &slot = table_[bucket * kSlots + s];
-            if (slot == 0) {
-                slot = fp;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool bucketContains(std::size_t bucket, std::uint16_t fp) const
-    {
-        for (unsigned s = 0; s < kSlots; ++s)
-            if (table_[bucket * kSlots + s] == fp)
-                return true;
-        return false;
-    }
-
-    std::size_t numBuckets_;
-    unsigned fpBits_;
-    std::uint64_t seed_;
-    std::vector<std::uint16_t> table_;
-};
-
 void
 BM_EventQueueScheduleAndPop(benchmark::State &state)
 {
@@ -250,24 +74,6 @@ BM_CuckooFilterInsertErase(benchmark::State &state)
 }
 BENCHMARK(BM_CuckooFilterInsertErase);
 
-/** Same stream as BM_CuckooFilterLookup against the frozen slot-loop
- *  implementation: the delta is the SWAR bucket-op win. */
-void
-BM_CuckooFilterLookupLegacyAos(benchmark::State &state)
-{
-    LegacyCuckooFilter filter(1u << 17);
-    for (Vpn v = 0; v < 100000; ++v)
-        filter.insert(v);
-    Vpn probe = 0;
-    for (auto _ : state) {
-        (void)_;
-        benchmark::DoNotOptimize(filter.contains(probe));
-        probe = (probe + 7919) % 200000;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CuckooFilterLookupLegacyAos);
-
 void
 BM_TlbLookup(benchmark::State &state)
 {
@@ -284,33 +90,11 @@ BM_TlbLookup(benchmark::State &state)
 }
 BENCHMARK(BM_TlbLookup);
 
-/** Same stream as BM_TlbLookup against the frozen array-of-structs
- *  implementation: the delta is the SoA tag-lane win. */
-void
-BM_TlbLookupLegacyAos(benchmark::State &state)
-{
-    LegacyAosTlb tlb(64, 32);
-    for (Vpn v = 0; v < 2048; ++v)
-        tlb.insert(v, v);
-    Vpn probe = 0;
-    for (auto _ : state) {
-        (void)_;
-        benchmark::DoNotOptimize(tlb.lookup(probe));
-        probe = (probe + 13) % 4096;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TlbLookupLegacyAos);
-
 /**
  * Wafer-shaped probe stream: 48 L2-sized TLBs (one per GPM tile of
  * the 7x7 wafer), probed round-robin the way a sweep's translation
- * traffic strides across tiles. This pair (vs
- * BM_TlbProbeWaferLegacyAos) keeps the layouts honest at the
- * working-set shape the simulator actually runs: probe cost is at
- * parity here, so the end-to-end win must come from elsewhere
- * (construction laziness, the SWAR filter, event fusion) -- which is
- * exactly what the profile attribution shows.
+ * traffic strides across tiles: the working-set shape the simulator
+ * actually runs.
  */
 void
 BM_TlbProbeWafer(benchmark::State &state)
@@ -332,27 +116,6 @@ BM_TlbProbeWafer(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TlbProbeWafer);
-
-void
-BM_TlbProbeWaferLegacyAos(benchmark::State &state)
-{
-    std::vector<LegacyAosTlb> tlbs;
-    for (int t = 0; t < 48; ++t)
-        tlbs.emplace_back(64, 32);
-    for (Vpn v = 0; v < 2048; ++v)
-        for (auto &tlb : tlbs)
-            tlb.insert(v, v);
-    Vpn probe = 0;
-    std::size_t tile = 0;
-    for (auto _ : state) {
-        (void)_;
-        benchmark::DoNotOptimize(tlbs[tile].lookup(probe));
-        tile = (tile + 1) % tlbs.size();
-        probe = (probe + 13) % 4096;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TlbProbeWaferLegacyAos);
 
 /** Batched admission probe: 64 VPNs per probeMany() call (prefetch
  *  pass + scan pass), the shape the GPM issue loop uses. Compare

@@ -27,13 +27,7 @@
 #      exported counters of its heaviest cell (8 tenants, 1000
 #      switches/Mtick), so tenancy-path slowdowns and behavioral
 #      drift in the shootdown/fault machinery land in the record,
-#  10. times the same serial sweep with each single run sharded across
-#      one spatial domain per core (HDPAT_DOMAINS, the conservative
-#      domain-parallel scheduler), recording the intra-run speedup --
-#      note this number is only meaningful on a multi-core host: in a
-#      1-core container the K=hw run measures pure scheduler overhead
-#      and the "speedup" sits below 1,
-#  11. appends a one-line digest (commit, date, headline wall-clock
+#  10. appends a one-line digest (commit, date, headline wall-clock
 #      and ns/call numbers, audited counters, churn-sweep digest) to
 #      BENCH_history.jsonl, so the perf trajectory across PRs stays
 #      queryable instead of being overwritten in BENCH_fig14.json.
@@ -77,12 +71,10 @@ fi
 
 run_timed() {
     local jobs="$1" profile="$2" latency="${3:-}" backpressure="${4:-}"
-    local domains="${5:-}"
     local start end
     start="$(date +%s.%N)"
     HDPAT_JOBS="$jobs" HDPAT_PROFILE="$profile" \
         HDPAT_LATENCY="$latency" HDPAT_BACKPRESSURE="$backpressure" \
-        HDPAT_DOMAINS="$domains" \
         "$BIN" "$OPS" > /dev/null
     end="$(date +%s.%N)"
     awk -v s="$start" -v e="$end" 'BEGIN { printf "%.3f", e - s }'
@@ -96,18 +88,6 @@ SERIAL="$(run_timed 1 "")"
 PARALLEL="$(run_timed "$CORES" "")"
 SPEEDUP="$(awk -v s="$SERIAL" -v p="$PARALLEL" \
     'BEGIN { printf "%.2f", (p > 0 ? s / p : 0) }')"
-
-# Intra-run parallelism: the serial (jobs=1) sweep again with each
-# single simulation sharded across one spatial domain per core. The
-# results are bitwise identical to serial (CI asserts it); the ratio
-# is the conservative scheduler's intra-run speedup. Caveat: on a
-# 1-core container the domain workers time-slice one core, so this
-# measures synchronization overhead (ratio < 1) rather than speedup --
-# compare records only across hosts with the same core count.
-INTRA_DOMAINS="$CORES"
-INTRA_TIMED="$(run_timed 1 "" "" "" "$INTRA_DOMAINS")"
-INTRA_SPEEDUP="$(awk -v s="$SERIAL" -v d="$INTRA_TIMED" \
-    'BEGIN { printf "%.2f", (d > 0 ? s / d : 0) }')"
 
 # The same serial sweep with the self-profiler on: the delta is the
 # profiler's own overhead, recorded so regressions in the "zero-cost
@@ -165,9 +145,9 @@ HDPAT_AUDIT=1 HDPAT_METRICS_JSON="$COUNTER_TMP" \
 COUNTERS_JSON="$(jq -c '.counters' "$COUNTER_TMP")"
 
 # Substrate micro-benchmarks (TLB, cuckoo filter, event queue, ...),
-# plus the calendar-vs-heap event-queue head-to-head, merged into one
-# record (the benchmarks arrays concatenate; context comes from the
-# substrate run).
+# plus the event-queue delta-mix suite, merged into one record (the
+# benchmarks arrays concatenate; context comes from the substrate
+# run).
 SUBSTRATE_TMP="$(mktemp --suffix=.json)"
 EVENTQ_TMP="$(mktemp --suffix=.json)"
 trap 'rm -f "$PROFILE_TMP" "$LATENCY_TMP" "$COUNTER_TMP" \
@@ -238,9 +218,6 @@ cat <<EOF
   "parallel_jobs": $CORES,
   "parallel_seconds": $PARALLEL,
   "speedup": $SPEEDUP,
-  "intra_domains": $INTRA_DOMAINS,
-  "intra_domain_seconds": $INTRA_TIMED,
-  "intra_domain_speedup": $INTRA_SPEEDUP,
   "profiled_serial_seconds": $PROFILED,
   "profiler_overhead_pct": $OVERHEAD_PCT,
   "latency_serial_seconds": $LATENCY_TIMED,
@@ -271,9 +248,6 @@ jq -cn \
     --argjson serial "$SERIAL" \
     --argjson parallel "$PARALLEL" \
     --argjson speedup "$SPEEDUP" \
-    --argjson intra_domains "$INTRA_DOMAINS" \
-    --argjson intra_seconds "$INTRA_TIMED" \
-    --argjson intra_speedup "$INTRA_SPEEDUP" \
     --argjson profiler_pct "$OVERHEAD_PCT" \
     --argjson latency_pct "$LATENCY_OVERHEAD_PCT" \
     --argjson backpressure_pct "$BACKPRESSURE_OVERHEAD_PCT" \
@@ -284,9 +258,6 @@ jq -cn \
     '{commit: $commit, date: $date, bench: "fig14_overall",
       ops_per_gpm: $ops, serial_seconds: $serial,
       parallel_seconds: $parallel, speedup: $speedup,
-      intra_domains: $intra_domains,
-      intra_domain_seconds: $intra_seconds,
-      intra_domain_speedup: $intra_speedup,
       profiler_overhead_pct: $profiler_pct,
       latency_overhead_pct: $latency_pct,
       backpressure_overhead_pct: $backpressure_pct,

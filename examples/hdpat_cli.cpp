@@ -8,7 +8,7 @@
  * Usage:
  *   hdpat_cli [--workload ABBR|all] [--policy NAME] [--config NAME]
  *             [--ops N] [--seed S] [--scale F] [--page-shift N]
- *             [--mesh WxH] [--jobs N] [--domains K]
+ *             [--mesh WxH] [--jobs N]
  *             [--csv FILE] [--trace FILE]
  *             [--metrics-json FILE] [--trace-out FILE]
  *             [--trace-sample N|1/N] [--heartbeat TICKS]
@@ -26,10 +26,7 @@
  * (requires HDPAT_LOG=info). --jobs N (or HDPAT_JOBS=N) runs
  * "--workload all" sweeps N simulations at a time with results
  * identical to serial; multi-run --metrics-json/--trace-out/
- * --spatial-csv paths get a per-run "-<index>" suffix. --domains K
- * (or HDPAT_DOMAINS=K) shards each single simulation across K
- * threads by spatial domain decomposition, also with results
- * identical to serial.
+ * --spatial-csv paths get a per-run "-<index>" suffix.
  *
  * Introspection: --audit verifies conservation invariants at run end
  * (issue/retire, NoC send/deliver, MSHR and TLB balance); --watchdog
@@ -229,17 +226,12 @@ parse(int argc, char **argv)
             const long long n = std::atoll(value().c_str());
             if (n > 0)
                 setDefaultJobs(static_cast<unsigned>(n));
-        } else if (arg == "--domains") {
-            const long long n = std::atoll(value().c_str());
-            if (n > 0)
-                opt.obs.domains = static_cast<unsigned>(n);
         } else if (arg == "--help" || arg == "-h") {
             std::cout
                 << "usage: hdpat_cli [--workload ABBR|all] "
                    "[--policy NAME] [--config NAME] [--ops N] "
                    "[--seed S] [--scale F] [--page-shift N] "
-                   "[--mesh WxH] [--jobs N] [--domains K] "
-                   "[--csv FILE] "
+                   "[--mesh WxH] [--jobs N] [--csv FILE] "
                    "[--trace FILE] [--metrics-json FILE] "
                    "[--trace-out FILE] [--trace-sample N|1/N] "
                    "[--heartbeat TICKS] [--audit] [--watchdog TICKS] "
@@ -252,14 +244,6 @@ parse(int argc, char **argv)
                    "  --jobs N  run multi-workload sweeps N "
                    "simulations at a time (default: HDPAT_JOBS or "
                    "all cores); results are identical to serial\n"
-                   "  --domains K      shard each single simulation "
-                   "across K threads (spatial domain\n"
-                   "                   decomposition with conservative "
-                   "synchronization; default 1 = serial);\n"
-                   "                   results are bitwise identical "
-                   "to serial for any K. Tracing, latency\n"
-                   "                   attribution, spatial heatmaps, "
-                   "and multi-tenancy fall back to serial\n"
                    "  --audit          verify conservation invariants "
                    "at run end (issue/retire, send/deliver,\n"
                    "                   MSHR and LL-TLB balance, queue "
@@ -335,8 +319,6 @@ parse(int argc, char **argv)
                    "  HDPAT_BACKPRESSURE_REPORT=F  default for "
                    "--backpressure-report\n"
                    "  HDPAT_JOBS=N             default for --jobs\n"
-                   "  HDPAT_DOMAINS=K          default for --domains "
-                   "(1 = serial single runs)\n"
                    "  HDPAT_TENANTS=N          multiplex N address "
                    "spaces (ASIDs) onto the wafer\n"
                    "  HDPAT_SWITCH_RATE=R      Poisson context "
@@ -347,12 +329,6 @@ parse(int argc, char **argv)
                    "seed (all unset = single-tenant,\n"
                    "                           bitwise-identical "
                    "runs)\n"
-                   "  HDPAT_EVENTQ=IMPL        event queue: calendar "
-                   "(default) or heap (legacy; same results)\n"
-                   "  HDPAT_NOC_FUSE=0         disable NoC arrival "
-                   "fusion (per-companion events; same results)\n"
-                   "  HDPAT_STREAM_CACHE=0     disable the shared "
-                   "workload stream cache (same results)\n"
                    "  HDPAT_BENCH_SCALE=F      multiply bench op "
                    "counts by F\n"
                    "  HDPAT_LOG=LEVEL          log level: error, "

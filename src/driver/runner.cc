@@ -60,14 +60,6 @@ obsOptionsFromEnv()
     if (const char *env = std::getenv("HDPAT_HEARTBEAT"))
         obs.heartbeatInterval = std::atoll(env);
     obs.audit = envFlag("HDPAT_AUDIT");
-    if (const char *env = std::getenv("HDPAT_NOC_FUSE");
-        env && *env && std::string(env) == "0")
-        obs.nocFuse = false;
-    if (const char *env = std::getenv("HDPAT_DOMAINS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            obs.domains = static_cast<unsigned>(v);
-    }
     if (const char *env = std::getenv("HDPAT_WATCHDOG"))
         obs.watchdogInterval = std::atoll(env);
     if (const char *env = std::getenv("HDPAT_SPATIAL"))
@@ -188,8 +180,6 @@ runOnce(const RunSpec &spec)
     System system(spec.config, spec.policy);
     if (spec.captureIommuTrace)
         system.setCaptureIommuTrace(true);
-    system.setNocFusion(spec.obs.nocFuse);
-    system.setDomains(spec.obs.domains);
     // Before enableBackpressure (the IOMMU fault queue only registers
     // as a Resource once a fault handler exists) and before
     // loadWorkload (per-ASID allocation).
@@ -241,7 +231,7 @@ runOnce(const RunSpec &spec)
     // under workload_gen so the profile keeps charging generation
     // (cold) or replay setup (warm) to the same section.
     std::shared_ptr<const StreamTable> streams;
-    if (streamCacheEnabled()) {
+    {
         const ProfScope prof(system.profiler(),
                              ProfSection::WorkloadGen);
         streams = WorkloadStreamCache::shared().get(

@@ -61,20 +61,6 @@ struct ObsOptions
     std::size_t latencyTopK = 8;
     /** Write the critical-path report here ("" = off; implies on). */
     std::string latencyReportPath;
-    /**
-     * Fuse NoC delivery companion events into the arrival event
-     * (HDPAT_NOC_FUSE; default on, set to 0 to force the pre-fusion
-     * per-companion event shape). Spatial observation overrides this
-     * to off regardless.
-     */
-    bool nocFuse = true;
-    /**
-     * Domain-parallel shard count for the single run (HDPAT_DOMAINS;
-     * default 1 = serial). K > 1 simulates the wafer as K column-strip
-     * domains on K threads with bitwise-identical results; see
-     * System::setDomains for the automatic fallbacks.
-     */
-    unsigned domains = 1;
     /** Backpressure accounting (HDPAT_BACKPRESSURE). */
     bool backpressure = false;
     /**

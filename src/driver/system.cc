@@ -491,121 +491,19 @@ System::shootdownAsync(Vpn vpn)
     return true;
 }
 
-unsigned
-System::effectiveDomains() const
-{
-    unsigned k = requestedDomains_;
-    if (k <= 1)
-        return 1;
-    if (tracer_ || latency_ || spatial_ || spatialSampler_ ||
-        tenancy_) {
-        hdpat_inform(
-            "domain parallelism disabled: span tracing, latency "
-            "attribution, spatial sampling, and multi-tenancy observe "
-            "the global event interleave mid-run; running serial");
-        return 1;
-    }
-    if (cfg_.noc.linkLatency < 1) {
-        hdpat_inform("domain parallelism disabled: zero NoC link "
-                     "latency leaves no conservative lookahead; "
-                     "running serial");
-        return 1;
-    }
-    const unsigned width = static_cast<unsigned>(topo_.width());
-    if (k > width) {
-        hdpat_inform("domain count " << k << " clamped to the mesh "
-                                     << "width " << width);
-        k = width;
-    }
-    return k;
-}
-
-void
-System::setupDomainParallel(unsigned count)
-{
-    DomainSet::Config dcfg;
-    dcfg.count = count;
-    // Lookahead = the minimum cross-tile NoC delay: any packet sent at
-    // t arrives at t + linkLatency or later, so inside a window no
-    // domain can influence another (the null-message bound).
-    dcfg.lookahead = cfg_.noc.linkLatency;
-    dcfg.queueImpl = engine_.queueImpl();
-    const unsigned width = static_cast<unsigned>(topo_.width());
-    dcfg.domainOfTile.resize(
-        static_cast<std::size_t>(topo_.numTiles()));
-    for (TileId t = 0; t < topo_.numTiles(); ++t) {
-        // Contiguous column strips: min(K-1, x*K/width) is surjective
-        // onto [0, K) for K <= width, so every domain owns work.
-        const unsigned x = static_cast<unsigned>(topo_.coordOf(t).x);
-        dcfg.domainOfTile[static_cast<std::size_t>(t)] =
-            std::min(count - 1, x * count / width);
-    }
-    domainSet_ = std::make_unique<DomainSet>(std::move(dcfg));
-    net_.setDomains(domainSet_.get());
-    engine_.setDomains(domainSet_.get());
-
-    // Auditor hooks now fire from worker threads; the counters are
-    // commutative and per-(tile, VPN) order is preserved (a tile's ops
-    // all run on its domain thread), so the verdict is unchanged.
-    if (auditor_)
-        auditor_->setConcurrent(true);
-
-    // Each worker profiles into a private instance (absorbed into the
-    // main profiler after the run); the main profiler keeps the
-    // sequencer's share and the wall clock.
-    if (profiler_) {
-        domainProfilers_ = std::vector<Profiler>(count);
-        for (unsigned d = 0; d < count; ++d)
-            domainSet_->setWorkerProfiler(d, &domainProfilers_[d]);
-        for (auto &gpm : gpms_) {
-            gpm->setProfiler(
-                &domainProfilers_[domainSet_->domainOf(gpm->tile())]);
-        }
-        iommu_->setProfiler(
-            &domainProfilers_[domainSet_->domainOf(topo_.cpuTile())]);
-    }
-
-    // Heartbeat and watchdog run in coordinator mode off the window
-    // barrier: they read global aggregates with the workers quiescent,
-    // schedule no engine events, and never mistake one domain waiting
-    // at its window horizon for a stalled run.
-    domainSet_->setBarrierHook([this](Tick window_start) {
-        if (heartbeat_)
-            heartbeat_->beatExternal(window_start);
-        if (watchdog_)
-            watchdog_->checkExternal(window_start);
-    });
-
-    hdpat_inform("domain-parallel run: " << count
-                                         << " column-strip domains, "
-                                         << "lookahead "
-                                         << cfg_.noc.linkLatency
-                                         << " ticks");
-}
-
 RunResult
 System::run()
 {
     hdpat_fatal_if(!loaded_, "System::run without a workload");
 
-    const unsigned k = effectiveDomains();
-    if (k > 1)
-        setupDomainParallel(k);
-    DomainSet *ds = domainSet_.get();
-
-    for (auto &gpm : gpms_) {
-        // Route each GPM's bootstrap event into its own domain queue
-        // (no-op on serial runs).
-        const DomainSet::ScopedTarget target(
-            ds, ds ? ds->domainOf(gpm->tile()) : 0);
+    for (auto &gpm : gpms_)
         gpm->start();
-    }
     if (tenancy_)
         tenancy_->start();
     if (heartbeat_)
-        ds ? heartbeat_->startExternal() : heartbeat_->start();
+        heartbeat_->start();
     if (watchdog_)
-        ds ? watchdog_->startExternal() : watchdog_->start();
+        watchdog_->start();
     if (spatialSampler_)
         spatialSampler_->start();
 
@@ -624,17 +522,6 @@ System::run()
         watchdog_->stop();
     if (spatialSampler_)
         spatialSampler_->stop();
-
-    if (ds) {
-        // Fold the workers' tile-local packet deltas into the NoC
-        // stats (pure sums) and their profiler sections into the main
-        // profile before anything reads either.
-        net_.foldDomainStats();
-        if (profiler_) {
-            for (const Profiler &p : domainProfilers_)
-                profiler_->absorb(p);
-        }
-    }
 
     RunResult result;
     result.workload = workloadName_;

@@ -119,13 +119,6 @@ class System
     void enableAudit();
 
     /**
-     * Enable/disable NoC delivery fusion (default on; the
-     * HDPAT_NOC_FUSE=0 kill switch routes here). Spatial observation
-     * still forces unfused delivery regardless of this setting.
-     */
-    void setNocFusion(bool on) { net_.setFusion(on); }
-
-    /**
      * Enable the stall watchdog: if the engine keeps executing events
      * for @p interval simulated ticks without a single memop retiring,
      * abort with the auditor-style diagnostic (stuck spans, per-tile
@@ -168,24 +161,6 @@ class System
      * handler exists). Bitwise-invisible when never called.
      */
     void enableTenancy(const TenancySpec &spec);
-
-    /**
-     * Shard the run across @p count spatial domains (contiguous column
-     * strips of the mesh), each simulated on its own thread under
-     * conservative windows of one NoC link latency (sim/domains.hh).
-     * The result is bitwise identical to the serial run: the barrier
-     * sequencer replays all cross-domain work in exact serial order.
-     * 1 (the default) is the serial path. Requests are clamped to the
-     * mesh width; features that observe the global event interleave
-     * mid-run (span tracing, latency attribution, spatial sampling,
-     * multi-tenancy) force a fallback to serial with a notice, as does
-     * a zero-latency NoC (no conservative lookahead). Call before
-     * run(). HDPAT_DOMAINS routes here via the runner.
-     */
-    void setDomains(unsigned count) { requestedDomains_ = count; }
-
-    /** The domain count the last/next run actually uses. */
-    unsigned effectiveDomains() const;
 
     /** Run to completion and gather statistics. */
     RunResult run();
@@ -269,9 +244,6 @@ class System
     /** Register every component's metrics (called once from ctor). */
     void registerMetrics();
 
-    /** Build + attach the DomainSet and rewire observers (run()). */
-    void setupDomainParallel(unsigned count);
-
     SystemConfig cfg_;
     TranslationPolicy pol_;
 
@@ -297,16 +269,6 @@ class System
     std::unique_ptr<BackpressureCollector> backpressure_;
     std::unique_ptr<TenantScheduler> tenancy_;
     TenancySpec tenancySpec_;
-    /** Requested domain-parallel shard count (1 = serial). */
-    unsigned requestedDomains_ = 1;
-    /**
-     * The attached domain scheduler (null on serial runs). Stays
-     * attached after run() so post-run reads -- final tick, event
-     * counts, registry exports -- keep resolving through it.
-     */
-    std::unique_ptr<DomainSet> domainSet_;
-    /** Per-domain worker profilers, absorbed into profiler_ at run end. */
-    std::vector<Profiler> domainProfilers_;
     /** Open async shootdown rounds: key -> outstanding acks. */
     std::unordered_map<Vpn, std::size_t> openShootdowns_;
     std::string workloadName_ = "(none)";

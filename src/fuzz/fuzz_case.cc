@@ -55,17 +55,17 @@ forEachNumericField(Case &c, F &&f)
     f("concurrentProbes", c.concurrentProbes);
     f("opsPerGpm", c.opsPerGpm);
     f("seed", c.seed);
-    f("heapEventQueue", c.heapEventQueue);
-    f("nocFuse", c.nocFuse);
     // Tenancy fields come last: corpus files predating them parse
     // unchanged (absent keys keep the single-tenant defaults).
     f("asidCount", c.asidCount);
     f("switchRatePerMTicks", c.switchRatePerMTicks);
     f("churnRatePerMTicks", c.churnRatePerMTicks);
-    // Appended after tenancy for the same corpus-compatibility reason
-    // (absent key = serial run, the pre-domain behaviour).
-    f("domains", c.domains);
 }
+
+/** Keys of retired harness switches: older reproducers carry them;
+ *  the parser drops them. */
+constexpr const char *kRetiredKeys[] = {"heapEventQueue", "nocFuse",
+                                        "domains"};
 
 /** Negative sampled values target signed config fields; for unsigned
  *  destinations clamp to 0 (the degenerate value validation rejects)
@@ -168,11 +168,6 @@ FuzzCase::toSpec() const
     // on exactly the observability it needs.
     spec.obs = ObsOptions{};
     spec.obs.heartbeatInterval = 0;
-    spec.obs.nocFuse = nocFuse != 0;
-    // Negative or zero counts mean "serial"; System::effectiveDomains
-    // clamps oversized counts to the mesh width.
-    spec.obs.domains =
-        domains < 1 ? 1u : static_cast<unsigned>(domains);
     spec.tenancy = TenancySpec{};
     spec.tenancy.asidCount = static_cast<std::uint32_t>(toSize(asidCount));
     spec.tenancy.switchRatePerMTicks =
@@ -275,6 +270,8 @@ parseFuzzCase(const std::string &text, std::string *error)
         c.workload = it->second;
         kv.erase(it);
     }
+    for (const char *key : kRetiredKeys)
+        kv.erase(key);
     if (!kv.empty())
         return fail("unknown key \"" + kv.begin()->first +
                     "\" (field table and corpus out of sync?)");

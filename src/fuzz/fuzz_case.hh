@@ -65,27 +65,6 @@ struct FuzzCase
     std::int64_t opsPerGpm = 200;
     std::int64_t seed = 0x5eed;
 
-    // ---- Harness -----------------------------------------------------
-    /** Run the case under the legacy heap event queue (HDPAT_EVENTQ)
-     *  instead of the calendar queue, so the differential oracles
-     *  cover both orderings of the same simulation. */
-    std::int64_t heapEventQueue = 0;
-
-    /** Run the case with NoC delivery fusion on (the default shipping
-     *  configuration) or off (the per-companion-event shape). The
-     *  harness additionally re-runs every case with the flag flipped
-     *  and requires identical counts, so both values of this field
-     *  still cross-check fused against per-hop delivery. */
-    std::int64_t nocFuse = 1;
-
-    /** Domain-parallel shard count for the case's runs (1 = serial,
-     *  the corpus-compatible default). The harness re-runs the case
-     *  with the count flipped (serial <-> sharded) and requires
-     *  identical counts and census, so either starting value
-     *  cross-checks the conservative-parallel scheduler against the
-     *  serial engine. */
-    std::int64_t domains = 1;
-
     // ---- Tenancy -----------------------------------------------------
     /** Address spaces multiplexed onto the wafer (1 = single-tenant,
      *  which keeps the case bitwise identical to the pre-tenancy
@@ -123,7 +102,9 @@ std::int64_t fuzzCaseFieldValue(const FuzzCase &c,
 /**
  * Parse the serialize() format. Unknown keys, malformed numbers, and
  * duplicate keys are errors: a corpus file that drifts from the field
- * table should fail loudly, not half-apply.
+ * table should fail loudly, not half-apply. The keys of retired
+ * harness switches (heapEventQueue, nocFuse, domains) are accepted and
+ * ignored, so reproducers written while they existed still load.
  * @param error Set to a one-line reason on failure.
  */
 std::optional<FuzzCase> parseFuzzCase(const std::string &text,

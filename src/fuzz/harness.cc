@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -28,6 +27,9 @@ constexpr int kOracleExit = 77;
  *  above anything a legal short run needs, so it only fires on a
  *  genuine stall; wall-clock hangs are caught by alarm(). */
 constexpr std::int64_t kWatchdogTicks = 50'000'000;
+
+/** Spatial window of oracle 4's per-hop re-run. */
+constexpr std::int64_t kSpatialWindowTicks = 100'000;
 
 /**
  * Compare the count-conservation surface of two results. Timing
@@ -70,15 +72,8 @@ sameCounts(const RunResult &a, const RunResult &b, const char *what,
  * violations panic (abort) inside System::run.
  */
 [[noreturn]] void
-childRun(const RunSpec &spec, bool heap_event_queue)
+childRun(const RunSpec &spec)
 {
-    // The event-queue choice is process-wide (every Engine in this
-    // child reads HDPAT_EVENTQ at construction), so the three oracle
-    // runs below all use the selected implementation -- and their
-    // counts must match the corpus and census expectations that were
-    // recorded under the other one.
-    setenv("HDPAT_EVENTQ", heap_event_queue ? "heap" : "calendar", 1);
-
     // Oracle 2: one audited, watchdogged run. The auditor carries the
     // PPN reference translator, so every installed translation is
     // checked against the page table no matter which policy path
@@ -113,13 +108,13 @@ childRun(const RunSpec &spec, bool heap_event_queue)
     }
 
     // Oracle 4: NoC delivery fusion must be a pure scheduling
-    // transform. Re-run the audited case with the fusion flag flipped:
-    // every simulated count -- including totalTicks and the retire
-    // census hash -- must match, whichever shape the case sampled.
-    RunSpec flipped = audited;
-    flipped.obs.nocFuse = !audited.obs.nocFuse;
-    const RunResult refused = runOnce(flipped);
-    if (!sameCounts(single, refused, "fused vs per-hop delivery",
+    // transform. Spatial observation forces per-hop delivery, so
+    // re-run the audited case with it on: every simulated count --
+    // including totalTicks and the retire census hash -- must match.
+    RunSpec perHop = audited;
+    perHop.obs.spatialWindow = kSpatialWindowTicks;
+    const RunResult unfused = runOnce(perHop);
+    if (!sameCounts(single, unfused, "fused vs per-hop delivery",
                     &why)) {
         std::fprintf(stderr, "differential mismatch: %s\n",
                      why.c_str());
@@ -204,21 +199,6 @@ childRun(const RunSpec &spec, bool heap_event_queue)
         _exit(kOracleExit);
     }
 
-    // Oracle 8: domain-parallel simulation must be invisible. Re-run
-    // the audited case with the shard count flipped (serial cases run
-    // sharded, sharded cases run serial): every count -- totalTicks,
-    // the retire-census hash, the lot -- must match, so the
-    // conservative scheduler's merge order is provably the serial
-    // interleave across the whole sampled config space.
-    RunSpec resharded = audited;
-    resharded.obs.domains = audited.obs.domains > 1 ? 1u : 2u;
-    const RunResult reshardedResult = runOnce(resharded);
-    if (!sameCounts(single, reshardedResult,
-                    "serial vs domain-sharded", &why)) {
-        std::fprintf(stderr, "differential mismatch: %s\n",
-                     why.c_str());
-        _exit(kOracleExit);
-    }
     _exit(0);
 }
 
@@ -297,7 +277,7 @@ runFuzzCase(const FuzzCase &c, unsigned timeout_seconds)
         if (devnull >= 0)
             dup2(devnull, STDOUT_FILENO);
         alarm(timeout_seconds);
-        childRun(spec, c.heapEventQueue != 0);
+        childRun(spec);
     }
 
     close(fds[1]);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fork-isolated execution of one FuzzCase with eight oracles:
+ * Fork-isolated execution of one FuzzCase with seven oracles:
  *
  * 1. Validity prediction: validationErrors(spec) empty must mean the
  *    run completes; non-empty must mean it fail-fasts. Divergence in
@@ -12,8 +12,8 @@
  *    reordered on multiple workers, must agree on translation counts,
  *    page-walk counts, and the per-(tile, VPN) retire-census digest.
  * 4. NoC fusion differential: fused and per-hop delivery are the same
- *    schedule, so every count (totalTicks included) must match with
- *    the flag flipped.
+ *    schedule, so every count (totalTicks included) must match when
+ *    spatial observation forces the per-hop shape.
  * 5. Latency attribution: re-running with per-stage attribution on
  *    (hash-sampled) must leave every count unchanged, and each
  *    sampled span's stage durations must sum to its end-to-end
@@ -29,11 +29,6 @@
  *    panic the child on violation -- plus the harness's own
  *    conservation checks: rounds opened == rounds closed and IOMMU
  *    faults enqueued == faults serviced.
- * 8. Domain-parallel differential: the audited case re-runs with the
- *    shard count flipped (serial <-> K=2, or whatever the case
- *    sampled), and every count -- totalTicks and the retire-census
- *    hash included -- must match, proving the conservative-parallel
- *    scheduler replays the exact serial interleave.
  *
  * The child is a fresh fork per case, so a crash, fatal, hang, or
  * abort in the simulator cannot take the fuzzer down with it.

@@ -91,24 +91,6 @@ sampleFuzzCase(Rng &rng)
     c.opsPerGpm = static_cast<std::int64_t>(rng.uniformRange(60, 320));
     c.seed = static_cast<std::int64_t>(rng.next() & 0x7fffffffffffffffull);
 
-    // Half the cases run on the legacy heap event queue, so the
-    // retire-census and runMany differentials exercise both queue
-    // implementations across the whole sampled config space.
-    c.heapEventQueue = rng.chance(0.5);
-
-    // And half run with NoC delivery fusion off, so the whole sampled
-    // space exercises the per-companion-event delivery shape too (the
-    // harness flips the flag again for the fusion differential, so
-    // either starting value cross-checks both shapes).
-    c.nocFuse = rng.chance(0.5);
-
-    // Domain parallelism: mostly serial (the corpus-compatible
-    // default), with a sharded minority so the whole sampled config
-    // space -- degenerate meshes included -- exercises the
-    // conservative-parallel scheduler. Oversized counts probe the
-    // clamp-to-width fallback.
-    c.domains = pick(rng, {1, 1, 1, 2, 2, 4, 16});
-
     // Tenancy: mostly single-tenant (the identity-preserving default)
     // with a multi-tenant minority that exercises context switches,
     // churn shootdowns, and the staleness oracle. A rare 0 probes the

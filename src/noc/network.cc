@@ -18,7 +18,6 @@ Network::Network(Engine &engine, const MeshTopology &topo,
     hdpat_fatal_if(params_.bytesPerTick <= 0.0,
                    "NoC bandwidth must be positive");
     linkFree_.assign(static_cast<std::size_t>(topo_.numTiles()) * 4, 0);
-    shards_.resize(1);
 }
 
 std::size_t
@@ -64,21 +63,6 @@ Tick
 Network::computeArrival(Tick now, TileId src, TileId dst,
                         std::size_t bytes)
 {
-    if (domains_ && DomainSet::onWorker()) [[unlikely]] {
-        // Workers may only time tile-local traffic: the XY walk below
-        // mutates the shared link-occupancy state, which must advance
-        // in serial order (cross-tile sends are deferred to the
-        // barrier sequencer before reaching this point). The packet
-        // count goes into a per-domain delta; foldDomainStats() sums
-        // the deltas into stats_ after the run.
-        hdpat_panic_if(src != dst,
-                       "cross-tile computeArrival on a domain worker");
-        const ProfScope prof(DomainSet::workerProfiler(),
-                             ProfSection::NocRouting);
-        domains_->addLocalPacket(bytes);
-        return now + params_.localLatency;
-    }
-
     const ProfScope prof(profiler_, ProfSection::NocRouting);
     ++stats_.packets;
     stats_.totalBytes += bytes;
@@ -136,27 +120,7 @@ void
 Network::send(TileId src, TileId dst, std::size_t bytes,
               EventFn on_arrive)
 {
-    if (domains_ && src != dst && DomainSet::onWorker()) [[unlikely]] {
-        // Cross-tile: the route may cross any strip's links, so the
-        // whole send body must run at its serial position. Arrival is
-        // >= now + linkLatency = the window's lookahead, so deferring
-        // to the barrier never delays a delivery past its due tick.
-        domains_->recordSend(src, dst, static_cast<std::uint32_t>(bytes),
-                             std::move(on_arrive));
-        return;
-    }
-    sendAt(engine_.now(), src, dst, bytes, std::move(on_arrive));
-}
-
-void
-Network::sendAt(Tick now, TileId src, TileId dst, std::size_t bytes,
-                EventFn on_arrive)
-{
-    const Tick arrive = computeArrival(now, src, dst, bytes);
-    // Sequencer mode: route the delivery (and its companions) into the
-    // destination tile's domain queue. Serial / worker: no-op.
-    const DomainSet::ScopedTarget target(
-        domains_, domains_ ? domains_->domainOf(dst) : 0);
+    const Tick arrive = computeArrival(engine_.now(), src, dst, bytes);
     if (auditor_) [[unlikely]] {
         auditor_->packetSent(bytes);
         if (fusionActive()) {
@@ -229,24 +193,18 @@ Network::scheduleFused(Tick arrive, std::size_t bytes, std::uint8_t mode,
                        TileId dst, TileId trace_owner, Vpn trace_vpn,
                        EventFn on_arrive)
 {
-    // The destination domain's shard: touched by its owner worker
-    // during windows and by the sequencer at barriers, never both at
-    // once. Serial runs have exactly one shard.
-    const std::uint32_t shard =
-        domains_ ? domains_->domainOf(dst) : 0;
-    FuseShard &fs = shards_[shard];
     std::uint32_t slot;
-    if (fs.freeHead != kNoSlot) {
-        slot = fs.freeHead;
-        fs.freeHead = fs.slab[slot].nextFree;
+    if (fuseFreeHead_ != kNoSlot) {
+        slot = fuseFreeHead_;
+        fuseFreeHead_ = fuseSlab_[slot].nextFree;
     } else {
         // Slab growth is the only allocation on this path; once the
         // in-flight high-water mark is reached, slots recycle through
         // the free list and steady state allocates nothing.
-        slot = static_cast<std::uint32_t>(fs.slab.size());
-        fs.slab.emplace_back();
+        slot = static_cast<std::uint32_t>(fuseSlab_.size());
+        fuseSlab_.emplace_back();
     }
-    PendingDelivery &p = fs.slab[slot];
+    PendingDelivery &p = fuseSlab_[slot];
     p.fn = std::move(on_arrive);
     p.bytes = bytes;
     p.arrive = arrive;
@@ -254,18 +212,16 @@ Network::scheduleFused(Tick arrive, std::size_t bytes, std::uint8_t mode,
     p.traceOwner = trace_owner;
     p.traceVpn = trace_vpn;
     p.mode = mode;
-    engine_.scheduleAt(arrive,
-                       [this, shard, slot] { deliverFused(shard, slot); });
+    engine_.scheduleAt(arrive, [this, slot] { deliverFused(slot); });
 }
 
 void
-Network::deliverFused(std::uint32_t shard, std::uint32_t slot)
+Network::deliverFused(std::uint32_t slot)
 {
     // Copy the payload out and release the slot before running any of
     // it: the arrival callback may send further packets, growing or
     // reusing the slab.
-    FuseShard &fs = shards_[shard];
-    PendingDelivery &p = fs.slab[slot];
+    PendingDelivery &p = fuseSlab_[slot];
     const std::size_t bytes = p.bytes;
     const Tick arrive = p.arrive;
     const TileId dst = p.dst;
@@ -273,8 +229,8 @@ Network::deliverFused(std::uint32_t shard, std::uint32_t slot)
     const Vpn traceVpn = p.traceVpn;
     const std::uint8_t mode = p.mode;
     EventFn fn = std::move(p.fn);
-    p.nextFree = fs.freeHead;
-    fs.freeHead = slot;
+    p.nextFree = fuseFreeHead_;
+    fuseFreeHead_ = slot;
 
     // Companion order matches the unfused schedule order: delivered
     // count, then the NetArrive record, then the arrival callback.
@@ -292,54 +248,8 @@ void
 Network::dataHop(TileId src, TileId dst, std::size_t bytes,
                  EventFn at_arrive)
 {
-    if (domains_ && src != dst && DomainSet::onWorker()) [[unlikely]] {
-        domains_->recordHop(src, dst, static_cast<std::uint32_t>(bytes),
-                            std::move(at_arrive));
-        return;
-    }
-    dataHopAt(engine_.now(), src, dst, bytes, std::move(at_arrive));
-}
-
-void
-Network::dataHopAt(Tick now, TileId src, TileId dst, std::size_t bytes,
-                   EventFn at_arrive)
-{
-    const Tick arrive = computeArrival(now, src, dst, bytes);
-    const DomainSet::ScopedTarget target(
-        domains_, domains_ ? domains_->domainOf(dst) : 0);
-    engine_.scheduleAt(arrive, std::move(at_arrive));
-}
-
-void
-Network::setDomains(DomainSet *domains)
-{
-    domains_ = domains;
-    // Re-shard the fused slab; any previous slots are free-listed (the
-    // attach/detach points bracket the run, when nothing is in flight).
-    shards_.clear();
-    shards_.resize(domains_ ? domains_->count() : 1);
-    if (!domains_)
-        return;
-    domains_->setSendReplay([this](Tick when, TileId src, TileId dst,
-                                   std::uint32_t bytes, EventFn fn) {
-        sendAt(when, src, dst, bytes, std::move(fn));
-    });
-    domains_->setHopReplay([this](Tick when, TileId src, TileId dst,
-                                  std::uint32_t bytes, EventFn fn) {
-        dataHopAt(when, src, dst, bytes, std::move(fn));
-    });
-}
-
-void
-Network::foldDomainStats()
-{
-    if (!domains_)
-        return;
-    // Tile-local packets timed live on workers only bump the packet
-    // and byte counts (no hops, no latency accumulation), exactly as
-    // the serial src == dst early return does.
-    stats_.packets += domains_->localPackets();
-    stats_.totalBytes += domains_->localBytes();
+    engine_.scheduleAt(computeArrival(engine_.now(), src, dst, bytes),
+                       std::move(at_arrive));
 }
 
 void

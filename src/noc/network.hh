@@ -121,57 +121,30 @@ class Network
     void setSpatial(SpatialCollector *spatial) { spatial_ = spatial; }
 
     /**
-     * Enable/disable arrival fusion (HDPAT_NOC_FUSE; default on).
-     *
-     * With fusion on, a packet whose delivery needs observer
-     * companions (the auditor's delivered-count, the tracer's
-     * NetArrive record) gets ONE scheduled event that performs the
-     * companions and the arrival callback back to back, instead of
+     * True when deliveries may be fused. A packet whose delivery needs
+     * observer companions (the auditor's delivered-count, the tracer's
+     * NetArrive record) then gets ONE scheduled event that performs
+     * the companions and the arrival callback back to back, instead of
      * two or three separate same-tick events. The companions are
      * always scheduled consecutively at the same tick, so same-tick
      * FIFO already ran them adjacently -- folding them into one event
      * preserves the exact global execution order and is therefore
      * bitwise-identical in simulated behavior, while cutting
-     * engine.events_scheduled by one to two per packet in audited
-     * or traced runs.
+     * engine.events_scheduled by one to two per packet in audited or
+     * traced runs. Spatial observation forces the per-companion event
+     * shape so heatmap-bearing runs execute the exact event sequence
+     * older baselines recorded.
      */
-    void setFusion(bool on) { fuseEnabled_ = on; }
-
-    /**
-     * True when deliveries may be fused. Spatial observation forces
-     * the pre-fusion event shape so heatmap-bearing runs execute the
-     * exact per-companion event sequence older baselines recorded.
-     */
-    bool fusionActive() const { return fuseEnabled_ && !spatial_; }
+    bool fusionActive() const { return !spatial_; }
 
     /** Host self-profiler for the routing path (null = off). */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }
 
     /**
-     * Attach / detach the domain-parallel scheduler. With one
-     * attached, send() on a worker thread defers its whole body (route
-     * walk, conservation hooks, delivery scheduling) to the barrier
-     * sequencer as a Send record -- cross-tile packets route through
-     * intermediate strips' links, so the shared link-occupancy state
-     * must only ever advance in serial order. Tile-local traffic
-     * (src == dst touches no link) stays live on the worker, with its
-     * packet counts kept as per-domain deltas. Also installs the
-     * sequencer replay hooks and shards the fused-delivery slab per
-     * destination domain (worker-owned during windows, sequencer-owned
-     * at barriers, so slot reuse is phase-disjoint).
-     */
-    void setDomains(DomainSet *domains);
-
-    /** Fold the per-domain local-packet deltas into stats() (run end;
-     *  pure sums, so the fold is order-independent and exact). */
-    void foldDomainStats();
-
-    /**
      * Data-plane hop: schedule @p at_arrive at
      * computeArrival(now, src, dst, bytes). The zero-copy data path
      * uses this instead of send() because raw line movement carries no
-     * conservation companions. On a domain worker a cross-tile hop is
-     * deferred to the sequencer like a send.
+     * conservation companions.
      */
     void dataHop(TileId src, TileId dst, std::size_t bytes,
                  EventFn at_arrive);
@@ -221,19 +194,6 @@ class Network
                         EventFn on_arrive, TileId trace_owner,
                         Vpn trace_vpn);
 
-    /**
-     * The full send body at an explicit departure tick: route walk,
-     * conservation hooks, delivery scheduling. send() calls this with
-     * engine_.now(); the domain sequencer calls it when replaying a
-     * worker-deferred Send record at its serial position.
-     */
-    void sendAt(Tick now, TileId src, TileId dst, std::size_t bytes,
-                EventFn on_arrive);
-
-    /** dataHop at an explicit tick (the Hop-record replay path). */
-    void dataHopAt(Tick now, TileId src, TileId dst, std::size_t bytes,
-                   EventFn at_arrive);
-
     /** Companion work folded into a fused delivery. */
     static constexpr std::uint8_t kFuseAudit = 1;
     static constexpr std::uint8_t kFuseTrace = 2;
@@ -259,24 +219,12 @@ class Network
         std::uint32_t nextFree = kNoSlot;
     };
 
-    /**
-     * One slab + free list per destination domain (one shard total on
-     * the serial path). A shard is touched by its owner worker during
-     * windows and by the sequencer at barriers -- phase-disjoint, so
-     * slot reuse needs no locking.
-     */
-    struct FuseShard
-    {
-        std::vector<PendingDelivery> slab;
-        std::uint32_t freeHead = kNoSlot;
-    };
-
     /** Schedule one fused delivery event for @p on_arrive. */
     void scheduleFused(Tick arrive, std::size_t bytes, std::uint8_t mode,
                        TileId dst, TileId trace_owner, Vpn trace_vpn,
                        EventFn on_arrive);
     /** Run a fused delivery: companions, then the arrival callback. */
-    void deliverFused(std::uint32_t shard, std::uint32_t slot);
+    void deliverFused(std::uint32_t slot);
 
     Engine &engine_;
     const MeshTopology &topo_;
@@ -289,10 +237,9 @@ class Network
     std::vector<double> linkFree_;
     /** Parallel to linkFree_; empty = backpressure off. */
     std::vector<Resource *> bpLinks_;
-    /** Fused-delivery shards (size 1 serial; one per domain with K). */
-    std::vector<FuseShard> shards_;
-    bool fuseEnabled_ = true;
-    DomainSet *domains_ = nullptr;
+    /** In-flight fused deliveries, recycled through a free list. */
+    std::vector<PendingDelivery> fuseSlab_;
+    std::uint32_t fuseFreeHead_ = kNoSlot;
     Stats stats_;
 };
 

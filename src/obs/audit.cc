@@ -9,7 +9,6 @@ namespace hdpat
 void
 Auditor::opIssued(TileId tile, Vpn vpn, Tick now)
 {
-    const MaybeLock lock(*this);
     ++issued_;
     ++inFlightTotal_;
     Flight &f = inFlight_[Key{tile, vpn}];
@@ -21,7 +20,6 @@ Auditor::opIssued(TileId tile, Vpn vpn, Tick now)
 void
 Auditor::opRetired(TileId tile, Vpn vpn, Tick now)
 {
-    const MaybeLock lock(*this);
     ++retired_;
     ++retireCensus_[Key{tile, vpn}];
     const auto it = inFlight_.find(Key{tile, vpn});
@@ -44,7 +42,6 @@ Auditor::opRetired(TileId tile, Vpn vpn, Tick now)
 void
 Auditor::pfnResolved(TileId tile, Vpn vpn, Pfn pfn, Tick now)
 {
-    const MaybeLock lock(*this);
     if (!reference_)
         return;
     ++pfnChecks_;
@@ -70,7 +67,6 @@ Auditor::pfnResolved(TileId tile, Vpn vpn, Pfn pfn, Tick now)
 void
 Auditor::shootdownIssued(Vpn vpn, std::size_t targets, Tick now)
 {
-    const MaybeLock lock(*this);
     ++shootdownRounds_;
     const auto [it, inserted] = openRounds_.try_emplace(vpn);
     if (!inserted) {
@@ -92,7 +88,6 @@ Auditor::shootdownIssued(Vpn vpn, std::size_t targets, Tick now)
 void
 Auditor::invalidationAcked(Vpn vpn, TileId tile, Tick now)
 {
-    const MaybeLock lock(*this);
     ++acksTotal_;
     const auto it = openRounds_.find(vpn);
     if (it == openRounds_.end()) {
@@ -123,7 +118,6 @@ Auditor::invalidationAcked(Vpn vpn, TileId tile, Tick now)
 void
 Auditor::staleResident(TileId tile, Vpn vpn, Pfn pfn)
 {
-    const MaybeLock lock(*this);
     ++staleResidents_;
     constexpr std::uint64_t kMaxRecorded = 16;
     if (staleResidents_ <= kMaxRecorded) {

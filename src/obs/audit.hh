@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -68,17 +67,6 @@ class Auditor
         std::string diagnostic;
     };
 
-    /**
-     * Domain-parallel runs: serialize the run-time hooks with a mutex.
-     * Every audited quantity is either a commutative sum or keyed by
-     * (tile, VPN) -- and ops to one tile always run on that tile's
-     * domain thread, so per-key event order is preserved. The verdict
-     * and the retire-census hash are therefore identical to the serial
-     * run's regardless of cross-domain interleaving. Off (the default)
-     * the hooks stay lock-free.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
     // ---- Lifecycle hooks (hot path; all O(1)) ------------------------
     void opIssued(TileId tile, Vpn vpn, Tick now);
     void opRetired(TileId tile, Vpn vpn, Tick now);
@@ -107,36 +95,18 @@ class Auditor
 
     void packetSent(std::size_t bytes)
     {
-        const MaybeLock lock(*this);
         ++sent_[static_cast<std::size_t>(planeOf(bytes))];
     }
     void packetDelivered(std::size_t bytes)
     {
-        const MaybeLock lock(*this);
         ++delivered_[static_cast<std::size_t>(planeOf(bytes))];
     }
 
-    void mshrAllocated(TileId tile)
-    {
-        const MaybeLock lock(*this);
-        ++mshr_[tile].allocated;
-    }
-    void mshrFreed(TileId tile)
-    {
-        const MaybeLock lock(*this);
-        ++mshr_[tile].freed;
-    }
+    void mshrAllocated(TileId tile) { ++mshr_[tile].allocated; }
+    void mshrFreed(TileId tile) { ++mshr_[tile].freed; }
 
-    void tlbFilled(TileId tile)
-    {
-        const MaybeLock lock(*this);
-        ++tlb_[tile].filled;
-    }
-    void tlbEvicted(TileId tile)
-    {
-        const MaybeLock lock(*this);
-        ++tlb_[tile].evicted;
-    }
+    void tlbFilled(TileId tile) { ++tlb_[tile].filled; }
+    void tlbEvicted(TileId tile) { ++tlb_[tile].evicted; }
 
     // ---- Shootdown conservation (tenancy churn) ----------------------
     /**
@@ -218,26 +188,6 @@ class Auditor
     std::uint64_t staleResidents() const { return staleResidents_; }
 
   private:
-    /** Locks only when setConcurrent(true); free otherwise. */
-    struct MaybeLock
-    {
-        explicit MaybeLock(const Auditor &a)
-        {
-            if (a.concurrent_) [[unlikely]] {
-                mu = &a.mu_;
-                mu->lock();
-            }
-        }
-        ~MaybeLock()
-        {
-            if (mu)
-                mu->unlock();
-        }
-        MaybeLock(const MaybeLock &) = delete;
-        MaybeLock &operator=(const MaybeLock &) = delete;
-        std::mutex *mu = nullptr;
-    };
-
     /** In-flight ops for one (tile, VPN); ops to one page can overlap. */
     struct Flight
     {
@@ -311,9 +261,6 @@ class Auditor
     std::uint64_t staleResidents_ = 0;
     /** Violations detected live (double retire, spurious retire). */
     std::vector<std::string> liveViolations_;
-    /** Hook serialization for domain-parallel runs (setConcurrent). */
-    bool concurrent_ = false;
-    mutable std::mutex mu_;
 };
 
 } // namespace hdpat

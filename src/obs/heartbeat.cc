@@ -25,28 +25,6 @@ Heartbeat::start()
 }
 
 void
-Heartbeat::startExternal()
-{
-    if (running_)
-        return;
-    running_ = true;
-    external_ = true;
-    lastExecuted_ = engine_.executedEvents();
-    lastTick_ = engine_.now();
-    nextBeatTick_ = lastTick_ + interval_;
-    lastWall_ = std::chrono::steady_clock::now();
-}
-
-void
-Heartbeat::beatExternal(Tick now)
-{
-    if (!running_ || !external_ || now < nextBeatTick_)
-        return;
-    logBeat(now);
-    nextBeatTick_ = now + interval_;
-}
-
-void
 Heartbeat::fire()
 {
     engine_.noteObserverFired();
@@ -61,16 +39,9 @@ Heartbeat::fire()
         return;
     }
 
-    logBeat(engine_.now());
-    engine_.noteObserverScheduled();
-    engine_.scheduleIn(interval_, [this] { fire(); });
-}
-
-void
-Heartbeat::logBeat(Tick now)
-{
     ++beats_;
     const std::uint64_t executed = engine_.executedEvents();
+    const Tick now = engine_.now();
     const auto wall = std::chrono::steady_clock::now();
     const double wall_s =
         std::chrono::duration<double>(wall - lastWall_).count();
@@ -94,6 +65,8 @@ Heartbeat::logBeat(Tick now)
     lastExecuted_ = executed;
     lastTick_ = now;
     lastWall_ = wall;
+    engine_.noteObserverScheduled();
+    engine_.scheduleIn(interval_, [this] { fire(); });
 }
 
 } // namespace hdpat

@@ -39,21 +39,6 @@ class Heartbeat
     /** Schedule the first beat (idempotent while running). */
     void start();
 
-    /**
-     * Coordinator mode for domain-parallel runs: no engine event is
-     * scheduled (so the run's event counts stay identical to the
-     * serial engine's); instead the domain barrier calls
-     * beatExternal() once per window and a beat is emitted whenever a
-     * full interval of simulated time has passed. Aggregates are read
-     * globally at the barrier (workers quiescent), so a domain
-     * legitimately idle at its window horizon still shows up inside a
-     * live, progressing run.
-     */
-    void startExternal();
-
-    /** Window-barrier tick-over; @p now is the new window start. */
-    void beatExternal(Tick now);
-
     /** Stop after the current beat; pending event becomes a no-op. */
     void stop() { running_ = false; }
 
@@ -63,20 +48,14 @@ class Heartbeat
 
   private:
     void fire();
-    /** Shared beat body: log + roll the deltas forward. */
-    void logBeat(Tick now);
 
     Engine &engine_;
     Tick interval_;
     StatusFn status_;
     bool running_ = false;
-    /** Coordinator mode: driven by beatExternal, no engine events. */
-    bool external_ = false;
     std::uint64_t beats_ = 0;
     std::uint64_t lastExecuted_ = 0;
     Tick lastTick_ = 0;
-    /** External mode: earliest tick the next beat may log at. */
-    Tick nextBeatTick_ = 0;
     std::chrono::steady_clock::time_point lastWall_;
 };
 

@@ -78,22 +78,6 @@ class Profiler
 
     void addWall(std::uint64_t nanos) { snapshot_.wallNanos += nanos; }
 
-    /**
-     * Fold another profiler's section totals into this one (domain
-     * workers profile into private instances; the driver absorbs them
-     * after the run so the exported profile covers every thread).
-     * Wall-clock is not absorbed: worker time overlaps the run's wall.
-     */
-    void absorb(const Profiler &other)
-    {
-        for (std::size_t i = 0; i < kNumProfSections; ++i) {
-            snapshot_.sections[i].calls +=
-                other.snapshot_.sections[i].calls;
-            snapshot_.sections[i].nanos +=
-                other.snapshot_.sections[i].nanos;
-        }
-    }
-
     /** The aggregate so far, stamped as one run. */
     ProfileSnapshot snapshot() const
     {

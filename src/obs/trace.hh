@@ -14,8 +14,7 @@
  *    runs stay cheap and the exported trace stays loadable. The
  *    sampling decision is a pure hash of (owner tile, VPN, issue
  *    tick), never an arrival counter, so serial and runMany
- *    executions — and calendar- vs heap-queue runs — sample exactly
- *    the same spans.
+ *    executions sample exactly the same spans.
  *
  * A span is keyed by (owner tile, VPN): the GPM that issued the memory
  * op owns the span, and every component that touches the request on its
@@ -133,7 +132,7 @@ class Tracer
      * Would an op keyed (owner, vpn) issued at @p now be sampled?
      * Pure function of its arguments and sampleN(): no tracer state
      * is read or written, which is the determinism contract satellite
-     * runs (serial vs runMany, calendar vs heap queue) rely on.
+     * runs (serial vs runMany) rely on.
      */
     bool sampled(TileId owner, Vpn vpn, Tick now) const;
 

@@ -52,27 +52,6 @@ Watchdog::start()
 }
 
 void
-Watchdog::startExternal()
-{
-    if (running_)
-        return;
-    running_ = true;
-    external_ = true;
-    lastProgress_ = progress_();
-    lastExecuted_ = engine_.nonObserverExecuted();
-    nextCheckTick_ = engine_.now() + interval_;
-}
-
-void
-Watchdog::checkExternal(Tick now)
-{
-    if (!running_ || !external_ || now < nextCheckTick_)
-        return;
-    runCheck(now);
-    nextCheckTick_ = now + interval_;
-}
-
-void
 Watchdog::fire()
 {
     engine_.noteObserverFired();
@@ -85,17 +64,6 @@ Watchdog::fire()
         running_ = false;
         return;
     }
-
-    runCheck(engine_.now());
-    if (!running_)
-        return;
-    engine_.noteObserverScheduled();
-    engine_.scheduleIn(interval_, [this] { fire(); });
-}
-
-void
-Watchdog::runCheck(Tick now)
-{
     ++checks_;
 
     const std::uint64_t progress = progress_();
@@ -109,7 +77,7 @@ Watchdog::runCheck(Tick now)
         running_ = false;
         std::ostringstream os;
         os << "watchdog: no memop retired for " << interval_
-           << " ticks (now=" << now << ", "
+           << " ticks (now=" << engine_.now() << ", "
            << (executed - lastExecuted_)
            << " events executed in the interval, progress stuck at "
            << progress << ")";
@@ -121,6 +89,8 @@ Watchdog::runCheck(Tick now)
 
     lastProgress_ = progress;
     lastExecuted_ = executed;
+    engine_.noteObserverScheduled();
+    engine_.scheduleIn(interval_, [this] { fire(); });
 }
 
 } // namespace hdpat

@@ -55,20 +55,6 @@ class Watchdog
     /** Schedule the first check (idempotent while running). */
     void start();
 
-    /**
-     * Coordinator mode for domain-parallel runs: no engine event is
-     * scheduled; the domain barrier calls checkExternal() once per
-     * window and the stall check runs whenever a full interval of
-     * simulated time has passed. Progress and executed counts are the
-     * global (all-domain) aggregates read at the barrier, so a single
-     * domain legitimately blocked at its window horizon never trips
-     * the watchdog as long as the run as a whole retires ops.
-     */
-    void startExternal();
-
-    /** Window-barrier tick-over; @p now is the new window start. */
-    void checkExternal(Tick now);
-
     /** Stop; the pending check becomes a no-op. */
     void stop() { running_ = false; }
 
@@ -80,8 +66,6 @@ class Watchdog
 
   private:
     void fire();
-    /** Shared stall test; @p now only labels the abort message. */
-    void runCheck(Tick now);
 
     Engine &engine_;
     Tick interval_;
@@ -89,14 +73,10 @@ class Watchdog
     DiagnosticFn diagnostic_;
     StallHandler handler_;
     bool running_ = false;
-    /** Coordinator mode: driven by checkExternal, no engine events. */
-    bool external_ = false;
     bool triggered_ = false;
     std::uint64_t checks_ = 0;
     std::uint64_t lastProgress_ = 0;
     std::uint64_t lastExecuted_ = 0;
-    /** External mode: earliest tick the next check may run at. */
-    Tick nextCheckTick_ = 0;
 };
 
 } // namespace hdpat

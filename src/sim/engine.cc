@@ -24,13 +24,6 @@ Engine::~Engine()
 void
 Engine::scheduleAt(Tick when, EventFn fn)
 {
-    if (domains_) [[unlikely]] {
-        hdpat_panic_if(when < domains_->now(),
-                       "scheduling into the past: when="
-                           << when << " now=" << domains_->now());
-        domains_->scheduleAt(when, std::move(fn));
-        return;
-    }
     hdpat_panic_if(when < now_,
                    "scheduling into the past: when=" << when
                        << " now=" << now_);
@@ -40,8 +33,6 @@ Engine::scheduleAt(Tick when, EventFn fn)
 bool
 Engine::step()
 {
-    hdpat_panic_if(domains_,
-                   "step() on a domain-parallel engine (use run())");
     if (queue_.empty())
         return false;
     Tick when = 0;
@@ -58,10 +49,6 @@ Engine::step()
 void
 Engine::run()
 {
-    if (domains_) [[unlikely]] {
-        domains_->run();
-        return;
-    }
     while (step()) {
     }
 }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -43,12 +42,7 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /** Current simulated time. */
-    Tick now() const
-    {
-        if (domains_) [[unlikely]]
-            return domains_->now();
-        return now_;
-    }
+    Tick now() const { return now_; }
 
     /** Schedule @p fn at absolute tick @p when (>= now()). */
     void scheduleAt(Tick when, EventFn fn);
@@ -76,34 +70,20 @@ class Engine
     void runUntil(Tick limit);
 
     /** Pending event count. */
-    std::size_t pendingEvents() const
-    {
-        if (domains_) [[unlikely]]
-            return domains_->pending();
-        return queue_.size();
-    }
+    std::size_t pendingEvents() const { return queue_.size(); }
 
     /** Total events executed so far. */
-    std::uint64_t executedEvents() const
-    {
-        if (domains_) [[unlikely]]
-            return domains_->executed();
-        return executed_;
-    }
+    std::uint64_t executedEvents() const { return executed_; }
 
     /** Total events ever scheduled (lifetime; survives reset). */
     std::uint64_t scheduledEvents() const
     {
-        if (domains_) [[unlikely]]
-            return domains_->scheduled();
         return queue_.scheduledCount();
     }
 
     /** Most events pending at once so far (lifetime high-water mark). */
     std::size_t pendingEventsHighWater() const
     {
-        if (domains_) [[unlikely]]
-            return domains_->pendingHighWater();
         return queue_.pendingHighWater();
     }
 
@@ -114,9 +94,6 @@ class Engine
      * estimate before the first event fires.
      */
     void reserveEvents(std::size_t n) { queue_.reserve(n); }
-
-    /** Ordering structure the queue runs on (HDPAT_EVENTQ). */
-    EventQueueImpl queueImpl() const { return queue_.impl(); }
 
     /**
      * Observer-event bookkeeping. Self-rescheduling observers (the
@@ -155,18 +132,6 @@ class Engine
      */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }
 
-    /**
-     * Attach / detach a domain-parallel scheduler (sim/domains.hh).
-     * Non-null reroutes now()/scheduleAt()/run() and the event
-     * statistics through the DomainSet; null (the default) is the
-     * serial path, bitwise identical to the pre-domain engine.
-     *
-     * @pre Attach only while the serial queue is empty: pre-attach
-     *      events would be invisible to the domain queues.
-     */
-    void setDomains(DomainSet *domains) { domains_ = domains; }
-    DomainSet *domains() const { return domains_; }
-
   private:
     EventQueue queue_;
     Tick now_ = 0;
@@ -174,7 +139,6 @@ class Engine
     std::size_t observersPending_ = 0;
     std::uint64_t observersExecuted_ = 0;
     Profiler *profiler_ = nullptr;
-    DomainSet *domains_ = nullptr;
 };
 
 } // namespace hdpat

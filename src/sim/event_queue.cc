@@ -1,8 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "sim/log.hh"
@@ -10,27 +8,9 @@
 namespace hdpat
 {
 
-const char *
-eventQueueImplName(EventQueueImpl impl)
+EventQueue::EventQueue()
+    : bucketHead_(kNumBuckets, kNoSlot), bucketTail_(kNumBuckets, kNoSlot)
 {
-    return impl == EventQueueImpl::Heap ? "heap" : "calendar";
-}
-
-EventQueueImpl
-defaultEventQueueImpl()
-{
-    const char *env = std::getenv("HDPAT_EVENTQ");
-    if (env && std::string_view(env) == "heap")
-        return EventQueueImpl::Heap;
-    return EventQueueImpl::Calendar;
-}
-
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl)
-{
-    if (impl_ == EventQueueImpl::Calendar) {
-        bucketHead_.assign(kNumBuckets, kNoSlot);
-        bucketTail_.assign(kNumBuckets, kNoSlot);
-    }
 }
 
 EventQueue::~EventQueue() = default;
@@ -38,16 +18,31 @@ EventQueue::~EventQueue() = default;
 void
 EventQueue::schedule(Tick when, EventFn fn)
 {
-    schedule(when, std::move(fn), nextSeq_++);
-}
+    hdpat_panic_if(when < lastPop_,
+                   "scheduling into the queue's past: when="
+                       << when << " last-popped=" << lastPop_);
+    const std::uint32_t s = allocSlot();
+    Slot &slot = slots_[s];
+    slot.fn = std::move(fn);
+    slot.when = when;
+    slot.seq = nextSeq_++;
+    slot.next = kNoSlot;
 
-void
-EventQueue::schedule(Tick when, EventFn fn, std::uint64_t tag)
-{
-    if (impl_ == EventQueueImpl::Calendar)
-        scheduleCalendar(when, std::move(fn), tag);
-    else
-        scheduleHeap(when, std::move(fn), tag);
+    if (when - lastPop_ < kNumBuckets) {
+        const std::size_t b =
+            static_cast<std::size_t>(when & kBucketMask);
+        if (bucketHead_[b] == kNoSlot) {
+            bucketHead_[b] = s;
+            setBucketBit(b);
+        } else {
+            slots_[bucketTail_[b]].next = s;
+        }
+        bucketTail_[b] = s;
+        ++calendarCount_;
+    } else {
+        overflow_.push_back(OverflowRef{when, slot.seq, s});
+        overflowSiftUp(overflow_.size() - 1);
+    }
     ++lifetimeScheduled_;
     ++size_;
     if (size_ > highWater_)
@@ -59,35 +54,83 @@ EventQueue::nextTick() const
 {
     if (size_ == 0)
         return kTickNever;
-    if (impl_ == EventQueueImpl::Calendar)
-        return nextTickCalendar();
-    return heap_.front().when;
+    Tick cal_tick = kTickNever;
+    if (calendarCount_ > 0) {
+        const std::size_t bucket = nextOccupiedBucket();
+        cal_tick = slots_[bucketHead_[bucket]].when;
+    }
+    if (!overflow_.empty() && overflow_.front().when < cal_tick)
+        return overflow_.front().when;
+    return cal_tick;
 }
 
 EventFn
 EventQueue::pop(Tick &when)
 {
-    std::uint64_t tag;
-    return pop(when, tag);
-}
-
-EventFn
-EventQueue::pop(Tick &when, std::uint64_t &tag)
-{
     hdpat_panic_if(size_ == 0, "pop() on an empty event queue");
     --size_;
-    if (impl_ == EventQueueImpl::Calendar)
-        return popCalendar(when, tag);
-    return popHeap(when, tag);
+    Tick cal_tick = kTickNever;
+    std::size_t bucket = 0;
+    if (calendarCount_ > 0) {
+        bucket = nextOccupiedBucket();
+        cal_tick = slots_[bucketHead_[bucket]].when;
+    }
+
+    std::uint32_t s;
+    if (!overflow_.empty() && overflow_.front().when <= cal_tick) {
+        // Tick tie goes to the overflow event: it was scheduled when
+        // this tick was beyond the wheel's horizon, i.e. at an earlier
+        // simulated time than any same-tick wheel event, so its seq is
+        // provably smaller (see the header's determinism contract).
+        s = overflow_.front().slot;
+        overflow_.front() = overflow_.back();
+        overflow_.pop_back();
+        if (!overflow_.empty())
+            overflowSiftDown(0);
+    } else {
+        s = bucketHead_[bucket];
+        bucketHead_[bucket] = slots_[s].next;
+        if (bucketHead_[bucket] == kNoSlot) {
+            bucketTail_[bucket] = kNoSlot;
+            clearBucketBit(bucket);
+        }
+        --calendarCount_;
+    }
+
+    Slot &slot = slots_[s];
+    when = slot.when;
+    lastPop_ = when;
+    EventFn fn = std::move(slot.fn);
+    slot.next = freeHead_;
+    freeHead_ = s;
+    return fn;
 }
 
 void
 EventQueue::clear()
 {
-    if (impl_ == EventQueueImpl::Calendar)
-        clearCalendar();
-    else
-        heap_.clear();
+    // Destroy every pending callback now (captures may own resources),
+    // then return the whole slab to the free list.
+    for (std::size_t b = 0; b < kNumBuckets; ++b) {
+        for (std::uint32_t s = bucketHead_[b]; s != kNoSlot;
+             s = slots_[s].next) {
+            slots_[s].fn = EventFn();
+        }
+        bucketHead_[b] = kNoSlot;
+        bucketTail_[b] = kNoSlot;
+    }
+    for (const OverflowRef &ref : overflow_)
+        slots_[ref.slot].fn = EventFn();
+    overflow_.clear();
+    occupied_.fill(0);
+    occupiedSummary_ = 0;
+    calendarCount_ = 0;
+    lastPop_ = 0;
+    freeHead_ = kNoSlot;
+    for (std::size_t i = slots_.size(); i-- > 0;) {
+        slots_[i].next = freeHead_;
+        freeHead_ = static_cast<std::uint32_t>(i);
+    }
     size_ = 0;
     nextSeq_ = 0;
 }
@@ -95,18 +138,10 @@ EventQueue::clear()
 void
 EventQueue::reserve(std::size_t n)
 {
-    if (impl_ == EventQueueImpl::Calendar) {
-        if (slots_.size() < n)
-            growSlab(n);
-        overflow_.reserve(n);
-    } else {
-        heap_.reserve(n);
-    }
+    if (slots_.size() < n)
+        growSlab(n);
+    overflow_.reserve(n);
 }
-
-// ---------------------------------------------------------------------
-// Calendar tier
-// ---------------------------------------------------------------------
 
 std::uint32_t
 EventQueue::allocSlot()
@@ -179,117 +214,6 @@ EventQueue::nextOccupiedBucket() const
 }
 
 void
-EventQueue::scheduleCalendar(Tick when, EventFn fn, std::uint64_t seq)
-{
-    hdpat_panic_if(when < lastPop_,
-                   "scheduling into the queue's past: when="
-                       << when << " last-popped=" << lastPop_);
-    const std::uint32_t s = allocSlot();
-    Slot &slot = slots_[s];
-    slot.fn = std::move(fn);
-    slot.when = when;
-    slot.seq = seq;
-    slot.next = kNoSlot;
-
-    if (when - lastPop_ < kNumBuckets) {
-        const std::size_t b =
-            static_cast<std::size_t>(when & kBucketMask);
-        if (bucketHead_[b] == kNoSlot) {
-            bucketHead_[b] = s;
-            setBucketBit(b);
-        } else {
-            slots_[bucketTail_[b]].next = s;
-        }
-        bucketTail_[b] = s;
-        ++calendarCount_;
-    } else {
-        overflow_.push_back(OverflowRef{when, slot.seq, s});
-        overflowSiftUp(overflow_.size() - 1);
-    }
-}
-
-EventFn
-EventQueue::popCalendar(Tick &when, std::uint64_t &tag)
-{
-    Tick cal_tick = kTickNever;
-    std::size_t bucket = 0;
-    if (calendarCount_ > 0) {
-        bucket = nextOccupiedBucket();
-        cal_tick = slots_[bucketHead_[bucket]].when;
-    }
-
-    std::uint32_t s;
-    if (!overflow_.empty() && overflow_.front().when <= cal_tick) {
-        // Tick tie goes to the overflow event: it was scheduled when
-        // this tick was beyond the wheel's horizon, i.e. at an earlier
-        // simulated time than any same-tick wheel event, so its seq is
-        // provably smaller (see the header's determinism contract).
-        s = overflow_.front().slot;
-        overflow_.front() = overflow_.back();
-        overflow_.pop_back();
-        if (!overflow_.empty())
-            overflowSiftDown(0);
-    } else {
-        s = bucketHead_[bucket];
-        bucketHead_[bucket] = slots_[s].next;
-        if (bucketHead_[bucket] == kNoSlot) {
-            bucketTail_[bucket] = kNoSlot;
-            clearBucketBit(bucket);
-        }
-        --calendarCount_;
-    }
-
-    Slot &slot = slots_[s];
-    when = slot.when;
-    tag = slot.seq;
-    lastPop_ = when;
-    EventFn fn = std::move(slot.fn);
-    slot.next = freeHead_;
-    freeHead_ = s;
-    return fn;
-}
-
-Tick
-EventQueue::nextTickCalendar() const
-{
-    Tick cal_tick = kTickNever;
-    if (calendarCount_ > 0) {
-        const std::size_t bucket = nextOccupiedBucket();
-        cal_tick = slots_[bucketHead_[bucket]].when;
-    }
-    if (!overflow_.empty() && overflow_.front().when < cal_tick)
-        return overflow_.front().when;
-    return cal_tick;
-}
-
-void
-EventQueue::clearCalendar()
-{
-    // Destroy every pending callback now (captures may own resources),
-    // then return the whole slab to the free list.
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-        for (std::uint32_t s = bucketHead_[b]; s != kNoSlot;
-             s = slots_[s].next) {
-            slots_[s].fn = EventFn();
-        }
-        bucketHead_[b] = kNoSlot;
-        bucketTail_[b] = kNoSlot;
-    }
-    for (const OverflowRef &ref : overflow_)
-        slots_[ref.slot].fn = EventFn();
-    overflow_.clear();
-    occupied_.fill(0);
-    occupiedSummary_ = 0;
-    calendarCount_ = 0;
-    lastPop_ = 0;
-    freeHead_ = kNoSlot;
-    for (std::size_t i = slots_.size(); i-- > 0;) {
-        slots_[i].next = freeHead_;
-        freeHead_ = static_cast<std::uint32_t>(i);
-    }
-}
-
-void
 EventQueue::overflowSiftUp(std::size_t idx)
 {
     while (idx > 0) {
@@ -323,70 +247,6 @@ EventQueue::overflowSiftDown(std::size_t idx)
         if (smallest == idx)
             break;
         std::swap(overflow_[idx], overflow_[smallest]);
-        idx = smallest;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy heap tier (the differential reference; code unchanged from
-// the original single-implementation queue)
-// ---------------------------------------------------------------------
-
-bool
-EventQueue::later(const HeapEntry &a, const HeapEntry &b)
-{
-    if (a.when != b.when)
-        return a.when > b.when;
-    return a.seq > b.seq;
-}
-
-void
-EventQueue::scheduleHeap(Tick when, EventFn fn, std::uint64_t seq)
-{
-    heap_.push_back(HeapEntry{when, seq, std::move(fn)});
-    heapSiftUp(heap_.size() - 1);
-}
-
-EventFn
-EventQueue::popHeap(Tick &when, std::uint64_t &tag)
-{
-    when = heap_.front().when;
-    tag = heap_.front().seq;
-    EventFn fn = std::move(heap_.front().fn);
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty())
-        heapSiftDown(0);
-    return fn;
-}
-
-void
-EventQueue::heapSiftUp(std::size_t idx)
-{
-    while (idx > 0) {
-        const std::size_t parent = (idx - 1) / 2;
-        if (!later(heap_[parent], heap_[idx]))
-            break;
-        std::swap(heap_[parent], heap_[idx]);
-        idx = parent;
-    }
-}
-
-void
-EventQueue::heapSiftDown(std::size_t idx)
-{
-    const std::size_t n = heap_.size();
-    while (true) {
-        const std::size_t left = 2 * idx + 1;
-        const std::size_t right = left + 1;
-        std::size_t smallest = idx;
-        if (left < n && later(heap_[smallest], heap_[left]))
-            smallest = left;
-        if (right < n && later(heap_[smallest], heap_[right]))
-            smallest = right;
-        if (smallest == idx)
-            break;
-        std::swap(heap_[idx], heap_[smallest]);
         idx = smallest;
     }
 }

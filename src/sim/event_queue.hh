@@ -6,28 +6,23 @@
  * scheduled for the same tick execute in scheduling order (FIFO), which
  * keeps simulations deterministic for a fixed seed.
  *
- * Two implementations share the EventQueue interface and are provably
- * pop-order identical (the shadow-queue differential tests assert it):
+ * The queue is a calendar: a bucketed timing wheel for near-future
+ * events backed by an overflow min-heap for far-future ones. Nearly
+ * every event the simulator schedules uses one of a handful of small
+ * fixed deltas (NoC hop latency, TLB/IOMMU pipeline stages, HBM
+ * latency), so schedule and pop are O(1) appends/removals on a per-tick
+ * FIFO bucket. Callback storage lives in a stable slab of slots reused
+ * through a free list -- the 136-byte EventFn payload is written once
+ * and never moved by the ordering structure, and steady-state
+ * scheduling performs no heap allocation.
  *
- *  - Calendar (default): a bucketed timing wheel for near-future events
- *    backed by an overflow min-heap for far-future ones. Nearly every
- *    event the simulator schedules uses one of a handful of small fixed
- *    deltas (NoC hop latency, TLB/IOMMU pipeline stages, HBM latency),
- *    so schedule and pop are O(1) appends/removals on a per-tick FIFO
- *    bucket. Callback storage lives in a stable slab of slots reused
- *    through a free list -- the 136-byte EventFn payload is written
- *    once and never moved by the ordering structure, and steady-state
- *    scheduling performs no heap allocation.
- *  - Heap: the original binary min-heap of whole entries, kept as the
- *    differential reference and selectable with HDPAT_EVENTQ=heap.
- *
- * Determinism contract (both implementations): pops come in
- * nondecreasing (tick, seq) order where seq is the schedule order, so
- * same-tick events fire FIFO. The calendar keeps this without merging
- * structures because an overflow event at tick T was necessarily
- * scheduled at an earlier simulated time than any bucket event at T
- * (it was out of the wheel's horizon then), hence always has the
- * smaller seq -- popping overflow-first on tick ties is exact.
+ * Determinism contract: pops come in nondecreasing (tick, seq) order
+ * where seq is the schedule order, so same-tick events fire FIFO. The
+ * calendar keeps this without merging structures because an overflow
+ * event at tick T was necessarily scheduled at an earlier simulated
+ * time than any bucket event at T (it was out of the wheel's horizon
+ * then), hence always has the smaller seq -- popping overflow-first on
+ * tick ties is exact.
  */
 
 #ifndef HDPAT_SIM_EVENT_QUEUE_HH
@@ -44,24 +39,6 @@
 namespace hdpat
 {
 
-/** Which ordering structure an EventQueue uses. */
-enum class EventQueueImpl : std::uint8_t
-{
-    Calendar, ///< Timing wheel + overflow heap (default).
-    Heap,     ///< Legacy binary min-heap (differential reference).
-};
-
-/** Printable name ("calendar" / "heap"). */
-const char *eventQueueImplName(EventQueueImpl impl);
-
-/**
- * Process default from the HDPAT_EVENTQ environment variable:
- * "heap" selects the legacy min-heap, anything else (or unset) the
- * calendar queue. Read per call so a harness (the fuzzer, the
- * differential tests) can flip it between Engine constructions.
- */
-EventQueueImpl defaultEventQueueImpl();
-
 /**
  * A (tick, sequence) ordered queue of events.
  *
@@ -71,14 +48,11 @@ EventQueueImpl defaultEventQueueImpl();
 class EventQueue
 {
   public:
-    explicit EventQueue(EventQueueImpl impl = defaultEventQueueImpl());
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** The ordering structure this instance runs on. */
-    EventQueueImpl impl() const { return impl_; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -87,22 +61,6 @@ class EventQueue
      *      executing; scheduling "now" is allowed.
      */
     void schedule(Tick when, EventFn fn);
-
-    /**
-     * Schedule with an explicit tie-break tag instead of the internal
-     * counter. Externally-injected events (domain-parallel handoffs)
-     * carry their serial-equivalent sequence so pop order reproduces
-     * the serial interleave for any domain count.
-     *
-     * Exactness contract: all same-tick insertions into one queue must
-     * arrive in increasing tag order over time (the calendar's
-     * overflow-first tie-break and bucket FIFO both depend on it; the
-     * heap orders by (when, tag) explicitly). The domain scheduler
-     * guarantees this: merge-time inserts carry monotonically
-     * increasing serial seqs, and in-window provisional tags set the
-     * top bit, sorting after every merge-time insert at the same tick.
-     */
-    void schedule(Tick when, EventFn fn, std::uint64_t tag);
 
     /** True when no events remain. */
     bool empty() const { return size_ == 0; }
@@ -122,11 +80,6 @@ class EventQueue
      */
     EventFn pop(Tick &when);
 
-    /** Pop variant that also reports the popped event's tie-break tag
-     *  (the internal counter, or the explicit tag it was scheduled
-     *  with). The domain merge uses it to recover serial order. */
-    EventFn pop(Tick &when, std::uint64_t &tag);
-
     /**
      * Discard all pending events. The same-tick tie-break sequence
      * restarts, but scheduledCount() keeps counting: it reports the
@@ -136,9 +89,9 @@ class EventQueue
     void clear();
 
     /**
-     * Pre-size the backing storage (callback slab, overflow heap, or
-     * legacy heap vector) for @p n simultaneously pending events, so
-     * steady-state scheduling below that mark never allocates.
+     * Pre-size the backing storage (callback slab and overflow heap)
+     * for @p n simultaneously pending events, so steady-state
+     * scheduling below that mark never allocates.
      */
     void reserve(std::size_t n);
 
@@ -149,8 +102,6 @@ class EventQueue
     std::size_t pendingHighWater() const { return highWater_; }
 
   private:
-    // ---- Calendar tier --------------------------------------------------
-
     /** Wheel size in single-tick buckets; deltas below this are O(1). */
     static constexpr std::size_t kNumBuckets = 4096;
     static constexpr std::uint64_t kBucketMask = kNumBuckets - 1;
@@ -187,11 +138,6 @@ class EventQueue
     void overflowSiftUp(std::size_t idx);
     void overflowSiftDown(std::size_t idx);
 
-    void scheduleCalendar(Tick when, EventFn fn, std::uint64_t seq);
-    EventFn popCalendar(Tick &when, std::uint64_t &tag);
-    Tick nextTickCalendar() const;
-    void clearCalendar();
-
     std::vector<Slot> slots_;
     std::uint32_t freeHead_ = kNoSlot;
     std::vector<std::uint32_t> bucketHead_;
@@ -209,28 +155,6 @@ class EventQueue
      */
     Tick lastPop_ = 0;
 
-    // ---- Legacy heap tier -----------------------------------------------
-
-    struct HeapEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        EventFn fn;
-    };
-
-    /** Heap ordering: earliest tick first, then scheduling order. */
-    static bool later(const HeapEntry &a, const HeapEntry &b);
-
-    void heapSiftUp(std::size_t idx);
-    void heapSiftDown(std::size_t idx);
-    void scheduleHeap(Tick when, EventFn fn, std::uint64_t seq);
-    EventFn popHeap(Tick &when, std::uint64_t &tag);
-
-    std::vector<HeapEntry> heap_;
-
-    // ---- Shared ---------------------------------------------------------
-
-    EventQueueImpl impl_;
     std::size_t size_ = 0;
     std::size_t highWater_ = 0;
     /** Tie-break for same-tick FIFO order; restarts on clear(). */

@@ -1,9 +1,7 @@
 #include "workloads/stream_cache.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
-#include <string_view>
 
 #include "mem/page_table.hh"
 #include "sim/log.hh"
@@ -156,16 +154,6 @@ WorkloadStreamCache::clearForTest()
     builds_ = 0;
     hits_ = 0;
     useClock_ = 0;
-}
-
-bool
-streamCacheEnabled()
-{
-    const char *env = std::getenv("HDPAT_STREAM_CACHE");
-    if (!env)
-        return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off");
 }
 
 } // namespace hdpat

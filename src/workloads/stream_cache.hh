@@ -170,13 +170,6 @@ class WorkloadStreamCache
     std::uint64_t hits_ = 0;
 };
 
-/**
- * Stream-cache kill switch: HDPAT_STREAM_CACHE=0 (or "off") makes the
- * runner regenerate streams per run, the pre-cache behavior. Read per
- * call so harnesses can flip it between runs.
- */
-bool streamCacheEnabled();
-
 } // namespace hdpat
 
 #endif // HDPAT_WORKLOADS_STREAM_CACHE_HH

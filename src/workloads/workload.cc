@@ -107,7 +107,7 @@ zipfChannel(Addr base, std::size_t bytes, double exponent,
         std::max<std::size_t>(1, bytes >> page_shift);
     auto zipf = std::make_shared<ZipfSampler>(pages, exponent);
     const std::size_t page_bytes = std::size_t(1) << page_shift;
-    return [base, page_bytes, zipf, dwell, rng = std::move(rng),
+    return [base, bytes, page_bytes, zipf, dwell, rng = std::move(rng),
             cur = Addr(0), left = unsigned(0)]() mutable {
         if (left == 0) {
             const std::size_t page = zipf->sample(*rng);
@@ -117,7 +117,9 @@ zipfChannel(Addr base, std::size_t bytes, double exponent,
             left = dwell;
         }
         const Addr addr = base + cur;
-        cur += 64;
+        // Dwell walks wrap inside the buffer, as in randomChannel: a
+        // sample near the end of the last page must not step past it.
+        cur = (cur + 64) % bytes;
         --left;
         return addr;
     };

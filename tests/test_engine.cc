@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the simulation engine: time advance, relative
- * scheduling, bounded runs, and reset.
+ * scheduling, bounded runs, reset, and observer bookkeeping.
  */
 
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,54 @@ TEST(EngineTest, CascadedEventsRunToCompletion)
     engine.run();
     EXPECT_EQ(depth, 1000);
     EXPECT_EQ(engine.now(), 999u);
+}
+
+/** A self-rescheduling observer never counts as "live work". */
+TEST(EngineTest, ObserverBookkeepingUnchanged)
+{
+    Engine engine;
+    int workload_runs = 0;
+    int observer_runs = 0;
+    // A heartbeat-style observer: reschedules itself while any
+    // non-observer event is pending.
+    std::function<void()> observer = [&] {
+        engine.noteObserverFired();
+        ++observer_runs;
+        if (engine.hasNonObserverEvents()) {
+            engine.noteObserverScheduled();
+            engine.scheduleIn(10, [&] { observer(); });
+        }
+    };
+    engine.noteObserverScheduled();
+    engine.scheduleIn(10, [&] { observer(); });
+    EXPECT_FALSE(engine.hasNonObserverEvents());
+
+    engine.scheduleIn(35, [&] { ++workload_runs; });
+    EXPECT_TRUE(engine.hasNonObserverEvents());
+
+    engine.run();
+    EXPECT_EQ(workload_runs, 1);
+    // Fires at t=10, 20, 30 (workload pending), then at t=40 it sees
+    // no live work and stops.
+    EXPECT_EQ(observer_runs, 4);
+    EXPECT_EQ(engine.nonObserverExecuted(), 1u);
+    EXPECT_EQ(engine.now(), 40u);
+}
+
+/** The reserve estimate is visible and the high-water mark behaves. */
+TEST(EngineTest, PendingHighWaterTracksPeak)
+{
+    Engine engine;
+    engine.reserveEvents(64);
+    for (int i = 0; i < 5; ++i)
+        engine.scheduleIn(static_cast<Tick>(i + 1), [] {});
+    EXPECT_EQ(engine.pendingEventsHighWater(), 5u);
+    engine.run();
+    EXPECT_EQ(engine.pendingEventsHighWater(), 5u);
+    EXPECT_EQ(engine.scheduledEvents(), 5u);
+    engine.reset();
+    EXPECT_EQ(engine.pendingEventsHighWater(), 5u); // Lifetime mark.
+    EXPECT_EQ(engine.scheduledEvents(), 5u);        // Lifetime count.
 }
 
 } // namespace

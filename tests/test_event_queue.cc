@@ -2,11 +2,10 @@
  * @file
  * Unit tests for the discrete-event queue: ordering, same-tick FIFO,
  * structural integrity under randomized load, and the no-allocation
- * guarantee of the schedule/pop hot path. Every behavioral test is
- * parameterized over both implementations (calendar wheel and legacy
- * heap); the shadow-queue test drives both side by side and asserts
- * identical pop order, which is the determinism contract the calendar
- * queue must uphold.
+ * guarantee of the schedule/pop hot path. The shadow-queue test drives
+ * the calendar queue beside a minimal (tick, schedule order) reference
+ * and asserts identical pop order, which is the determinism contract
+ * the calendar queue must uphold.
  */
 
 #include <algorithm>
@@ -16,6 +15,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,22 +90,17 @@ namespace hdpat
 namespace
 {
 
-class EventQueueImplTest
-    : public ::testing::TestWithParam<EventQueueImpl>
+TEST(EventQueueTest, StartsEmpty)
 {
-};
-
-TEST_P(EventQueueImplTest, StartsEmpty)
-{
-    EventQueue q(GetParam());
+    EventQueue q;
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
     EXPECT_EQ(q.nextTick(), kTickNever);
 }
 
-TEST_P(EventQueueImplTest, PopsInTickOrder)
+TEST(EventQueueTest, PopsInTickOrder)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     std::vector<int> order;
     q.schedule(30, [&] { order.push_back(3); });
     q.schedule(10, [&] { order.push_back(1); });
@@ -117,9 +113,9 @@ TEST_P(EventQueueImplTest, PopsInTickOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueImplTest, SameTickIsFifo)
+TEST(EventQueueTest, SameTickIsFifo)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 16; ++i)
         q.schedule(5, [&order, i] { order.push_back(i); });
@@ -133,9 +129,9 @@ TEST_P(EventQueueImplTest, SameTickIsFifo)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST_P(EventQueueImplTest, NextTickTracksEarliest)
+TEST(EventQueueTest, NextTickTracksEarliest)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     q.schedule(42, [] {});
     EXPECT_EQ(q.nextTick(), 42u);
     q.schedule(7, [] {});
@@ -147,9 +143,9 @@ TEST_P(EventQueueImplTest, NextTickTracksEarliest)
     EXPECT_EQ(q.nextTick(), 42u);
 }
 
-TEST_P(EventQueueImplTest, ClearDiscardsEverything)
+TEST(EventQueueTest, ClearDiscardsEverything)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     q.schedule(1, [] {});
     q.schedule(2, [] {});
     q.clear();
@@ -157,9 +153,9 @@ TEST_P(EventQueueImplTest, ClearDiscardsEverything)
     EXPECT_EQ(q.nextTick(), kTickNever);
 }
 
-TEST_P(EventQueueImplTest, ScheduledCountIsMonotonic)
+TEST(EventQueueTest, ScheduledCountIsMonotonic)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     for (int i = 0; i < 10; ++i)
         q.schedule(static_cast<Tick>(i), [] {});
     EXPECT_EQ(q.scheduledCount(), 10u);
@@ -168,9 +164,9 @@ TEST_P(EventQueueImplTest, ScheduledCountIsMonotonic)
     EXPECT_EQ(q.scheduledCount(), 10u); // Pops do not decrement.
 }
 
-TEST_P(EventQueueImplTest, ClearKeepsLifetimeScheduledCount)
+TEST(EventQueueTest, ClearKeepsLifetimeScheduledCount)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     for (int i = 0; i < 3; ++i)
         q.schedule(static_cast<Tick>(i), [] {});
     EXPECT_EQ(q.scheduledCount(), 3u);
@@ -183,9 +179,9 @@ TEST_P(EventQueueImplTest, ClearKeepsLifetimeScheduledCount)
     EXPECT_EQ(q.scheduledCount(), 4u);
 }
 
-TEST_P(EventQueueImplTest, ClearKeepsPendingHighWater)
+TEST(EventQueueTest, ClearKeepsPendingHighWater)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     for (int i = 0; i < 5; ++i)
         q.schedule(static_cast<Tick>(i), [] {});
     EXPECT_EQ(q.pendingHighWater(), 5u);
@@ -197,9 +193,9 @@ TEST_P(EventQueueImplTest, ClearKeepsPendingHighWater)
     EXPECT_EQ(q.pendingHighWater(), 5u); // Not reset by new traffic.
 }
 
-TEST_P(EventQueueImplTest, SameTickFifoHoldsAcrossClear)
+TEST(EventQueueTest, SameTickFifoHoldsAcrossClear)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     q.schedule(1, [] {});
     q.clear();
 
@@ -223,9 +219,9 @@ TEST_P(EventQueueImplTest, SameTickFifoHoldsAcrossClear)
  * not touch the heap. The far-future deltas push events through the
  * calendar queue's overflow heap as well as its wheel buckets.
  */
-TEST_P(EventQueueImplTest, ScheduleAndPopDoNotAllocate)
+TEST(EventQueueTest, ScheduleAndPopDoNotAllocate)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     q.reserve(256);
     int sink = 0;
     std::array<std::uint8_t, 96> payload{};
@@ -319,18 +315,18 @@ TEST(SoaSubstrateAllocation, PageWalkCacheSteadyStateDoesNotAllocate)
     EXPECT_GT(total, 0u);
 }
 
-TEST_P(EventQueueImplTest, PopOnEmptyPanics)
+TEST(EventQueueTest, PopOnEmptyPanics)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     Tick when = 0;
     EXPECT_DEATH({ q.pop(when); }, "empty event queue");
 }
 
 /** Property: random interleavings drain in nondecreasing tick order. */
-TEST_P(EventQueueImplTest, RandomizedDrainIsSorted)
+TEST(EventQueueTest, RandomizedDrainIsSorted)
 {
     Rng rng(123);
-    EventQueue q(GetParam());
+    EventQueue q;
     std::vector<Tick> scheduled;
     for (int i = 0; i < 5000; ++i) {
         const Tick t = rng.uniformInt(1000);
@@ -351,10 +347,10 @@ TEST_P(EventQueueImplTest, RandomizedDrainIsSorted)
 }
 
 /** Interleaved push/pop keeps the ordering invariant. */
-TEST_P(EventQueueImplTest, InterleavedPushPop)
+TEST(EventQueueTest, InterleavedPushPop)
 {
     Rng rng(77);
-    EventQueue q(GetParam());
+    EventQueue q;
     Tick last_popped = 0;
     for (int round = 0; round < 2000; ++round) {
         if (q.empty() || rng.chance(0.6)) {
@@ -375,9 +371,9 @@ TEST_P(EventQueueImplTest, InterleavedPushPop)
  * window, the first tick past it (overflow), and one further. All must
  * drain in tick order regardless of which tier they landed in.
  */
-TEST_P(EventQueueImplTest, BucketWidthBoundaryTicks)
+TEST(EventQueueTest, BucketWidthBoundaryTicks)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     std::vector<Tick> expect;
     for (const Tick t : {Tick{4095}, Tick{4096}, Tick{4097}, Tick{0},
                          Tick{1}, Tick{8191}, Tick{8192}}) {
@@ -402,9 +398,9 @@ TEST_P(EventQueueImplTest, BucketWidthBoundaryTicks)
  * that the later schedule lands in a wheel bucket. This is the FIFO
  * tie the determinism contract hangs on.
  */
-TEST_P(EventQueueImplTest, FarFutureOverflowKeepsFifoOnTies)
+TEST(EventQueueTest, FarFutureOverflowKeepsFifoOnTies)
 {
-    EventQueue q(GetParam());
+    EventQueue q;
     std::vector<int> order;
     constexpr Tick kFar = 10000; // Beyond the 4096-tick wheel at t=0.
 
@@ -427,13 +423,14 @@ TEST_P(EventQueueImplTest, FarFutureOverflowKeepsFifoOnTies)
 }
 
 /**
- * Shadow-queue differential: drive the calendar queue and the legacy
- * heap with an identical engine-like schedule/pop script and assert
- * the (tick, schedule-index) pop sequences match exactly. Several
- * delta profiles: the simulator's short fixed deltas, wheel-boundary
- * straddlers, and heavy same-tick contention.
+ * Shadow-queue differential: drive the calendar queue with an
+ * engine-like schedule/pop script beside a reference ordered by
+ * (tick, schedule index) and assert every pop matches the reference's
+ * earliest entry exactly. Several delta profiles: the simulator's
+ * short fixed deltas, wheel-boundary straddlers, and heavy same-tick
+ * contention.
  */
-TEST(EventQueueShadowTest, CalendarMatchesHeapPopOrder)
+TEST(EventQueueShadowTest, CalendarMatchesReferencePopOrder)
 {
     const struct
     {
@@ -448,76 +445,41 @@ TEST(EventQueueShadowTest, CalendarMatchesHeapPopOrder)
     };
 
     for (const auto &p : profiles) {
+        SCOPED_TRACE(p.seed);
         Rng rng(p.seed);
-        EventQueue cal(EventQueueImpl::Calendar);
-        EventQueue heap(EventQueueImpl::Heap);
-        std::vector<std::pair<Tick, int>> cal_pops, heap_pops;
+        EventQueue q;
+        std::set<std::pair<Tick, std::uint64_t>> reference;
+        std::uint64_t popped_id = 0;
+        std::uint64_t next_id = 0;
         Tick now = 0;
-        int next_id = 0;
+        const auto popAndCheck = [&] {
+            Tick when = 0;
+            q.pop(when)();
+            ASSERT_FALSE(reference.empty());
+            const auto [ref_when, ref_id] = *reference.begin();
+            reference.erase(reference.begin());
+            ASSERT_EQ(when, ref_when);
+            ASSERT_EQ(popped_id, ref_id);
+            now = when;
+        };
         for (int round = 0; round < 20000; ++round) {
-            if (cal.empty() || rng.chance(0.55)) {
+            if (q.empty() || rng.chance(0.55)) {
                 const Tick delta = rng.chance(p.same_tick_bias)
                                        ? 0
                                        : rng.uniformInt(p.max_delta);
-                const int id = next_id++;
-                cal.schedule(now + delta, [&cal_pops, id] {
-                    cal_pops.emplace_back(0, id);
-                });
-                heap.schedule(now + delta, [&heap_pops, id] {
-                    heap_pops.emplace_back(0, id);
-                });
+                const std::uint64_t id = next_id++;
+                q.schedule(now + delta,
+                           [&popped_id, id] { popped_id = id; });
+                reference.emplace(now + delta, id);
             } else {
-                Tick cal_when = 0, heap_when = 0;
-                cal.pop(cal_when)();
-                heap.pop(heap_when)();
-                ASSERT_EQ(cal_when, heap_when);
-                cal_pops.back().first = cal_when;
-                heap_pops.back().first = heap_when;
-                now = cal_when;
+                ASSERT_NO_FATAL_FAILURE(popAndCheck());
             }
         }
-        while (!cal.empty()) {
-            Tick cal_when = 0, heap_when = 0;
-            cal.pop(cal_when)();
-            ASSERT_FALSE(heap.empty());
-            heap.pop(heap_when)();
-            ASSERT_EQ(cal_when, heap_when);
-            cal_pops.back().first = cal_when;
-            heap_pops.back().first = heap_when;
-        }
-        EXPECT_TRUE(heap.empty());
-        ASSERT_EQ(cal_pops.size(), heap_pops.size());
-        EXPECT_EQ(cal_pops, heap_pops)
-            << "pop order diverged for seed " << p.seed;
+        while (!q.empty())
+            ASSERT_NO_FATAL_FAILURE(popAndCheck());
+        EXPECT_TRUE(reference.empty());
     }
 }
-
-TEST(EventQueueConfigTest, EnvSelectsImplementation)
-{
-    ASSERT_EQ(setenv("HDPAT_EVENTQ", "heap", 1), 0);
-    EXPECT_EQ(defaultEventQueueImpl(), EventQueueImpl::Heap);
-    {
-        EventQueue q;
-        EXPECT_EQ(q.impl(), EventQueueImpl::Heap);
-    }
-    ASSERT_EQ(setenv("HDPAT_EVENTQ", "calendar", 1), 0);
-    EXPECT_EQ(defaultEventQueueImpl(), EventQueueImpl::Calendar);
-    ASSERT_EQ(unsetenv("HDPAT_EVENTQ"), 0);
-    {
-        EventQueue q;
-        EXPECT_EQ(q.impl(), EventQueueImpl::Calendar);
-    }
-    EXPECT_STREQ(eventQueueImplName(EventQueueImpl::Heap), "heap");
-    EXPECT_STREQ(eventQueueImplName(EventQueueImpl::Calendar),
-                 "calendar");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Impls, EventQueueImplTest,
-    ::testing::Values(EventQueueImpl::Calendar, EventQueueImpl::Heap),
-    [](const ::testing::TestParamInfo<EventQueueImpl> &info) {
-        return std::string(eventQueueImplName(info.param));
-    });
 
 } // namespace
 } // namespace hdpat

@@ -69,6 +69,25 @@ TEST(FuzzCaseTest, ParseRejectsMalformedInput)
     EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
+TEST(FuzzCaseTest, ParseIgnoresRetiredKeys)
+{
+    // Reproducers written while the event-queue, NoC-fusion, and
+    // domain-parallel switches existed carry their keys; they must
+    // still load, and mean exactly what the same text without them
+    // means. Any other unknown key is still an error.
+    const std::string base = "meshWidth=5\nseed=99\nworkload=PR\n";
+    std::string error;
+    const auto plain = parseFuzzCase(base, &error);
+    ASSERT_TRUE(plain.has_value()) << error;
+    const auto retired = parseFuzzCase(
+        base + "heapEventQueue=1\nnocFuse=0\ndomains=4\n", &error);
+    ASSERT_TRUE(retired.has_value()) << error;
+    EXPECT_TRUE(*retired == *plain);
+
+    EXPECT_FALSE(parseFuzzCase(base + "bogusKey=1\n", &error).has_value());
+    EXPECT_NE(error.find("bogusKey"), std::string::npos) << error;
+}
+
 TEST(FuzzCaseTest, CppLiteralListsOnlyNonDefaults)
 {
     EXPECT_EQ(FuzzCase{}.toCppLiteral(), "FuzzCase c;\n");
@@ -218,22 +237,14 @@ TEST(FuzzCorpusTest, CorpusIsNonEmptyAndParses)
 
 TEST(FuzzCorpusTest, EveryReproducerReplaysGreen)
 {
-    // Each reproducer must stay green under both event-queue
-    // implementations: the bugs they pin were ordering-sensitive, so a
-    // queue whose pop order drifted would resurface them here.
     for (const std::string &path : corpusFiles()) {
+        SCOPED_TRACE(path);
         std::string error;
         const auto c = loadFuzzCase(path, &error);
         ASSERT_TRUE(c.has_value()) << path << ": " << error;
-        for (const std::int64_t heap_queue : {0, 1}) {
-            SCOPED_TRACE(path + (heap_queue ? " [heap]" : " [calendar]"));
-            FuzzCase variant = *c;
-            variant.heapEventQueue = heap_queue;
-            const FuzzOutcome outcome = runFuzzCase(variant, 180);
-            EXPECT_TRUE(outcome.ok())
-                << fuzzOutcomeKindName(outcome.kind) << ": "
-                << outcome.reason;
-        }
+        const FuzzOutcome outcome = runFuzzCase(*c, 180);
+        EXPECT_TRUE(outcome.ok())
+            << fuzzOutcomeKindName(outcome.kind) << ": " << outcome.reason;
     }
 }
 

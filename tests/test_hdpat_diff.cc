@@ -50,11 +50,17 @@ runDiff(const std::string &args)
     return r;
 }
 
+/** Write @p json to a temp file named after the running test, so
+ *  tests that ctest runs in parallel never share a path. */
 std::filesystem::path
 writeTemp(const std::string &name, const std::string &json)
 {
     const std::filesystem::path path =
-        std::filesystem::temp_directory_path() / name;
+        std::filesystem::temp_directory_path() /
+        (std::string(::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name()) +
+         "-" + name);
     std::ofstream out(path);
     out << json;
     return path;

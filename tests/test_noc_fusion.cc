@@ -5,19 +5,18 @@
  * tracer NetArrive record) into the arrival event may change how many
  * events the engine schedules, but never any simulated result.
  *
- * The contract, tested here end to end through runOnce():
- *   - without observers, fused and unfused runs produce bitwise
- *     identical metrics JSON (there is nothing to fuse, so the event
- *     stream is the same object);
+ * Spatial observation forces the per-companion (per-hop) shape, which
+ * is how these tests reach it. The contract, tested here end to end
+ * through runOnce():
+ *   - without other observers, a per-hop run matches the fused run in
+ *     every simulated metric (there is nothing to fuse);
  *   - with the auditor attached, every sim-visible metric stays
- *     identical while engine.events_scheduled drops strictly --
- *     that drop is the whole point of the optimization;
- *   - spatial observation forces the per-companion shape regardless
- *     of the flag, so heatmap CSVs and the full metrics dump
- *     (engine counters included) are identical either way.
+ *     identical while the per-hop shape schedules the companion
+ *     events that fusion folds away -- that saving is the whole point
+ *     of the optimization;
+ *   - attaching a spatial collector switches fusion off.
  */
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,22 +25,13 @@
 #include <gtest/gtest.h>
 
 #include "driver/runner.hh"
+#include "driver/system.hh"
 #include "obs/json_reader.hh"
 
 namespace hdpat
 {
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 /** A quiet, env-independent spec (ctest exports HDPAT_AUDIT=1; the
  *  fusion comparisons pick observers explicitly instead). */
@@ -58,11 +48,18 @@ baseSpec(const SystemConfig &cfg)
     return spec;
 }
 
-/** Run @p spec with the fusion flag set, dumping metrics to @p path. */
+/** Spatial window that forces the per-hop shape. */
+constexpr std::int64_t kSpatialWindow = 50000;
+
+/**
+ * Run @p spec fused, or per-hop (spatial observation on), dumping
+ * metrics to @p path.
+ */
 RunResult
-runWithFusion(RunSpec spec, bool fuse, const std::string &path)
+runShape(RunSpec spec, bool per_hop, const std::string &path)
 {
-    spec.obs.nocFuse = fuse;
+    if (per_hop)
+        spec.obs.spatialWindow = kSpatialWindow;
     spec.obs.metricsJsonPath = path;
     return runOnce(spec);
 }
@@ -101,96 +98,94 @@ flattenJson(const JsonValue &v, const std::string &prefix,
     }
 }
 
+/** The simulated metrics: every row but the engine.* load counters
+ *  and the spatial observer's own section. */
 std::vector<std::pair<std::string, std::string>>
-flattenedWithoutEngineRows(const std::string &json_path)
+simulatedRows(const std::string &json_path)
 {
     const JsonValue doc = parseJsonFileOrDie(json_path);
     std::vector<std::pair<std::string, std::string>> rows;
     flattenJson(doc, "", rows);
     std::erase_if(rows, [](const auto &row) {
-        return row.first.find("/engine.") != std::string::npos;
+        return row.first.find("/engine.") != std::string::npos ||
+               row.first.starts_with("/spatial/");
     });
     return rows;
+}
+
+std::uint64_t
+eventsScheduled(const std::string &json_path)
+{
+    return parseJsonFileOrDie(json_path)
+        .at("counters")
+        .at("engine.events_scheduled")
+        .asUint();
 }
 
 TEST(NocFusionDifferential, UnobservedRunsAreBitwiseIdentical)
 {
     // Fig 14 shape (7x7 MI100 wafer) and Fig 22 shape (7x12 wafer):
     // with no observer attached there are no companion events, so the
-    // flag must not change a single exported byte.
+    // per-hop shape must not change a single simulated number.
     for (const SystemConfig &cfg :
          {SystemConfig::mi100(), SystemConfig::mi100Wafer7x12()}) {
         const std::string dir = ::testing::TempDir();
         const std::string fused_path =
             dir + "fusion-on-" + cfg.name + ".json";
-        const std::string unfused_path =
+        const std::string per_hop_path =
             dir + "fusion-off-" + cfg.name + ".json";
 
-        const RunResult fused =
-            runWithFusion(baseSpec(cfg), true, fused_path);
-        const RunResult unfused =
-            runWithFusion(baseSpec(cfg), false, unfused_path);
+        const RunResult fused = runShape(baseSpec(cfg), false, fused_path);
+        const RunResult per_hop =
+            runShape(baseSpec(cfg), true, per_hop_path);
 
-        EXPECT_EQ(fused.totalTicks, unfused.totalTicks) << cfg.name;
-        EXPECT_EQ(fused.opsTotal, unfused.opsTotal) << cfg.name;
-        EXPECT_EQ(fused.noc.packets, unfused.noc.packets) << cfg.name;
-        EXPECT_EQ(readFile(fused_path), readFile(unfused_path))
+        EXPECT_EQ(fused.totalTicks, per_hop.totalTicks) << cfg.name;
+        EXPECT_EQ(fused.opsTotal, per_hop.opsTotal) << cfg.name;
+        EXPECT_EQ(fused.noc.packets, per_hop.noc.packets) << cfg.name;
+        EXPECT_EQ(simulatedRows(fused_path), simulatedRows(per_hop_path))
             << cfg.name << ": unobserved runs must not depend on the "
-            << "fusion flag";
+            << "delivery shape";
     }
 }
 
 TEST(NocFusionDifferential, AuditedRunsDifferOnlyInEngineLoad)
 {
     const std::string dir = ::testing::TempDir();
-    const std::string fused_path = dir + "audited-fused.json";
-    const std::string unfused_path = dir + "audited-unfused.json";
+    const RunSpec plain = baseSpec(SystemConfig::mi100());
+    RunSpec audited = plain;
+    audited.obs.audit = true;
 
-    RunSpec spec = baseSpec(SystemConfig::mi100());
-    spec.obs.audit = true;
-    const RunResult fused = runWithFusion(spec, true, fused_path);
-    const RunResult unfused = runWithFusion(spec, false, unfused_path);
+    const std::string fused_path = dir + "audited-fused.json";
+    const std::string per_hop_path = dir + "audited-per-hop.json";
+    const RunResult fused = runShape(audited, false, fused_path);
+    const RunResult per_hop = runShape(audited, true, per_hop_path);
 
     // Every sim-visible number -- counters, gauges, summaries,
     // histograms, run metadata -- must match; only the engine.* load
     // counters (events scheduled, pending high-water) may move.
-    EXPECT_EQ(flattenedWithoutEngineRows(fused_path),
-              flattenedWithoutEngineRows(unfused_path));
-    EXPECT_EQ(fused.auditRetireCensusHash, unfused.auditRetireCensusHash);
+    EXPECT_EQ(simulatedRows(fused_path), simulatedRows(per_hop_path));
+    EXPECT_EQ(fused.auditRetireCensusHash, per_hop.auditRetireCensusHash);
 
-    // And the optimization must actually optimize: fusing the
-    // auditor's delivered-count into the arrival event schedules
-    // strictly fewer events.
-    const auto events = [](const std::string &path) {
-        return parseJsonFileOrDie(path)
-            .at("counters")
-            .at("engine.events_scheduled")
-            .asUint();
-    };
-    EXPECT_LT(events(fused_path), events(unfused_path));
+    // And the optimization must actually optimize. Fused, the
+    // auditor's delivered-counts ride inside the arrival events, so
+    // the audited run schedules exactly as many events as an unaudited
+    // one; per-hop, each is an event of its own.
+    const std::string plain_fused_path = dir + "plain-fused.json";
+    const std::string plain_per_hop_path = dir + "plain-per-hop.json";
+    runShape(plain, false, plain_fused_path);
+    runShape(plain, true, plain_per_hop_path);
+    EXPECT_EQ(eventsScheduled(fused_path),
+              eventsScheduled(plain_fused_path));
+    EXPECT_GT(eventsScheduled(per_hop_path),
+              eventsScheduled(plain_per_hop_path));
 }
 
 TEST(NocFusionDifferential, SpatialObservationForcesUnfusedShape)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string fused_path = dir + "spatial-fused.json";
-    const std::string unfused_path = dir + "spatial-unfused.json";
-    const std::string fused_csv = dir + "spatial-fused.csv";
-    const std::string unfused_csv = dir + "spatial-unfused.csv";
-
-    RunSpec spec = baseSpec(SystemConfig::mi100());
-    spec.obs.audit = true;
-    spec.obs.spatialWindow = 50000;
-    spec.obs.spatialCsvPath = fused_csv;
-    runWithFusion(spec, true, fused_path);
-    spec.obs.spatialCsvPath = unfused_csv;
-    runWithFusion(spec, false, unfused_path);
-
-    // Spatial collection disables fusion no matter the flag, so the
-    // two runs execute the exact same event stream: heatmap CSVs and
-    // the full metrics dump (engine counters included) match bytewise.
-    EXPECT_EQ(readFile(fused_csv), readFile(unfused_csv));
-    EXPECT_EQ(readFile(fused_path), readFile(unfused_path));
+    System sys(SystemConfig::mi100(), TranslationPolicy::hdpat());
+    EXPECT_TRUE(sys.network().fusionActive());
+    sys.enableSpatial(kSpatialWindow, kSpatialWindow / 4);
+    EXPECT_FALSE(sys.network().fusionActive());
 }
 
 } // namespace

@@ -7,10 +7,9 @@
  * and a cached run must equal an uncached run end to end.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +17,9 @@
 #include "config/system_config.hh"
 #include "config/translation_policy.hh"
 #include "driver/runner.hh"
+#include "driver/system.hh"
 #include "mem/page_table.hh"
+#include "obs/exporters.hh"
 #include "noc/mesh_topology.hh"
 #include "workloads/stream_cache.hh"
 #include "workloads/suite.hh"
@@ -145,14 +146,40 @@ TEST(StreamCacheTest, ConcurrentGetsBuildOnce)
     EXPECT_EQ(cache.hits(), 7u);
 }
 
-std::string
-slurp(const std::string &path)
+/**
+ * One audited run of @p spec, loaded through either System::loadWorkload
+ * overload: generated in place, or replayed from a fresh stream cache.
+ * Returns the result and the run's metrics JSON.
+ */
+std::pair<RunResult, std::string>
+auditedRun(const RunSpec &spec, bool from_cache)
 {
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
+    System sys(spec.config, spec.policy);
+    if (spec.tenancy.enabled())
+        sys.enableTenancy(spec.tenancy);
+    sys.enableAudit();
+    const auto workload = makeWorkload(spec.workload, spec.footprintScale);
+    if (from_cache) {
+        WorkloadStreamCache cache;
+        sys.loadWorkload(*workload, spec.opsPerGpm, spec.seed,
+                         cache.get(StreamKey{
+                             spec.workload, spec.footprintScale,
+                             spec.opsPerGpm, spec.seed, sys.numGpms(),
+                             spec.config.pageShift,
+                             spec.tenancy.asidCount}));
+    } else {
+        sys.loadWorkload(*workload, spec.opsPerGpm, spec.seed);
+    }
+    RunResult result = sys.run();
+    RunMetadata meta;
+    meta.workload = result.workload;
+    meta.policy = result.policy;
+    meta.config = result.config;
+    meta.seed = spec.seed;
+    meta.totalTicks = result.totalTicks;
+    std::ostringstream json;
+    writeMetricsJson(json, sys.metrics(), meta);
+    return {std::move(result), json.str()};
 }
 
 /** End to end: cached and uncached runs are the same simulation. */
@@ -163,25 +190,17 @@ TEST(StreamCacheTest, RunnerEquivalentWithAndWithoutCache)
     spec.policy = TranslationPolicy::hdpat();
     spec.workload = "FFT";
     spec.opsPerGpm = 300;
-    spec.obs.audit = true;
+    spec.tenancy = TenancySpec{};
 
-    const std::string dir = ::testing::TempDir();
-    spec.obs.metricsJsonPath = dir + "cache-on.json";
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "1", 1), 0);
-    const RunResult cached = runOnce(spec);
-
-    spec.obs.metricsJsonPath = dir + "cache-off.json";
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "0", 1), 0);
-    const RunResult uncached = runOnce(spec);
-    ASSERT_EQ(unsetenv("HDPAT_STREAM_CACHE"), 0);
+    const auto [cached, cached_json] = auditedRun(spec, true);
+    const auto [uncached, uncached_json] = auditedRun(spec, false);
 
     EXPECT_EQ(cached.totalTicks, uncached.totalTicks);
     EXPECT_EQ(cached.opsTotal, uncached.opsTotal);
     EXPECT_EQ(cached.gpmFinish, uncached.gpmFinish);
     EXPECT_EQ(cached.auditRetireCensusHash,
               uncached.auditRetireCensusHash);
-    EXPECT_EQ(slurp(dir + "cache-on.json"),
-              slurp(dir + "cache-off.json"));
+    EXPECT_EQ(cached_json, uncached_json);
 }
 
 TEST(StreamCacheTest, AsidCountIsPartOfTheKey)
@@ -231,21 +250,13 @@ TEST(StreamCacheTest, TwoTenantRunnerEquivalentWithAndWithoutCache)
     spec.policy = TranslationPolicy::hdpat();
     spec.workload = "FFT";
     spec.opsPerGpm = 300;
-    spec.obs.audit = true;
     spec.tenancy = TenancySpec{};
     spec.tenancy.asidCount = 2;
     spec.tenancy.switchRatePerMTicks = 400;
     spec.tenancy.churnRatePerMTicks = 200;
 
-    const std::string dir = ::testing::TempDir();
-    spec.obs.metricsJsonPath = dir + "tenant-cache-on.json";
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "1", 1), 0);
-    const RunResult cached = runOnce(spec);
-
-    spec.obs.metricsJsonPath = dir + "tenant-cache-off.json";
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "0", 1), 0);
-    const RunResult uncached = runOnce(spec);
-    ASSERT_EQ(unsetenv("HDPAT_STREAM_CACHE"), 0);
+    const auto [cached, cached_json] = auditedRun(spec, true);
+    const auto [uncached, uncached_json] = auditedRun(spec, false);
 
     EXPECT_EQ(cached.totalTicks, uncached.totalTicks);
     EXPECT_EQ(cached.opsTotal, uncached.opsTotal);
@@ -255,21 +266,29 @@ TEST(StreamCacheTest, TwoTenantRunnerEquivalentWithAndWithoutCache)
     EXPECT_EQ(cached.pageFaults, uncached.pageFaults);
     EXPECT_EQ(cached.auditRetireCensusHash,
               uncached.auditRetireCensusHash);
-    EXPECT_EQ(slurp(dir + "tenant-cache-on.json"),
-              slurp(dir + "tenant-cache-off.json"));
+    EXPECT_EQ(cached_json, uncached_json);
 }
 
-TEST(StreamCacheTest, EnvKillSwitch)
+/** The runner replays every run's streams from the shared cache. */
+TEST(StreamCacheTest, RunnerAlwaysUsesSharedCache)
 {
-    ASSERT_EQ(unsetenv("HDPAT_STREAM_CACHE"), 0);
-    EXPECT_TRUE(streamCacheEnabled()); // Default on.
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "0", 1), 0);
-    EXPECT_FALSE(streamCacheEnabled());
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "off", 1), 0);
-    EXPECT_FALSE(streamCacheEnabled());
-    ASSERT_EQ(setenv("HDPAT_STREAM_CACHE", "1", 1), 0);
-    EXPECT_TRUE(streamCacheEnabled());
-    ASSERT_EQ(unsetenv("HDPAT_STREAM_CACHE"), 0);
+    RunSpec spec;
+    spec.config = SystemConfig::mi100();
+    spec.policy = TranslationPolicy::baseline();
+    spec.workload = "KM";
+    spec.opsPerGpm = 50;
+    spec.seed = 0x5ca1e;
+    spec.obs = ObsOptions{};
+    spec.obs.heartbeatInterval = 0;
+
+    WorkloadStreamCache &shared = WorkloadStreamCache::shared();
+    const std::uint64_t builds = shared.builds();
+    const std::uint64_t hits = shared.hits();
+    runOnce(spec);
+    spec.policy = TranslationPolicy::hdpat();
+    runOnce(spec);
+    EXPECT_EQ(shared.builds() + shared.hits(), builds + hits + 2);
+    EXPECT_GE(shared.hits(), hits + 1);
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "mem/page_table.hh"
+#include "sim/rng.hh"
 #include "workloads/suite.hh"
+#include "workloads/workload.hh"
 
 namespace hdpat
 {
@@ -245,6 +247,22 @@ TEST(WorkloadCharacterTest, FirIsPageSequential)
     EXPECT_GT(static_cast<double>(adjacent) /
                   (first_touch_order.size() - 1),
               0.2); // O4 reports 10-30% proximity.
+}
+
+TEST(ZipfChannelTest, DwellWalkStaysInsideTheBuffer)
+{
+    // Two 4 KiB pages and an 80-line dwell (5 KiB, longer than a
+    // page): a sample late in the second page must wrap to the start
+    // of the buffer, not walk past its end.
+    constexpr Addr kBase = 0x10000;
+    constexpr std::size_t kBytes = 2 * 4096;
+    auto gen = zipfChannel(kBase, kBytes, 1.0, 12,
+                           std::make_shared<Rng>(11), 80);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr a = gen();
+        ASSERT_GE(a, kBase) << "draw " << i;
+        ASSERT_LT(a, kBase + kBytes) << "draw " << i;
+    }
 }
 
 } // namespace
