@@ -98,7 +98,7 @@ Gpm::setBackpressure(BackpressureCollector &bp)
 {
     const std::string prefix = "gpm.t" + std::to_string(tile_) + ".";
     const auto mshr_hook = [this](Resource *res) {
-        return [this, res](MshrFile::PressureEvent ev) {
+        return [this, res](MshrFile::PressureEvent ev, std::uint64_t n) {
             switch (ev) {
               case MshrFile::PressureEvent::Alloc:
                 res->arrive(engine_.now());
@@ -107,7 +107,7 @@ Gpm::setBackpressure(BackpressureCollector &bp)
                 res->depart(engine_.now());
                 break;
               case MshrFile::PressureEvent::Reject:
-                res->reject();
+                res->reject(n);
                 break;
             }
         };
@@ -477,6 +477,9 @@ Gpm::fillLocalHierarchy(Vpn vpn, Pfn pfn, bool remote)
     if (auditor_) [[unlikely]]
         auditor_->pfnResolved(tile_, vpn, pfn, engine_.now());
     l2Tlb_.insert(vpn, pfn, remote);
+    ++l2Fills_;
+    if (!stalledRemote_.empty())
+        stalledRemote_.noteL2Insert(vpn);
     l1Tlb_.insert(vpn, pfn, remote);
 }
 

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -31,6 +30,7 @@
 #include "config/system_config.hh"
 #include "config/translation_policy.hh"
 #include "gpm/gmmu.hh"
+#include "gpm/stalled_ops.hh"
 #include "hdpat/cluster_map.hh"
 #include "hdpat/concentric_layers.hh"
 #include "iommu/iommu.hh"
@@ -326,7 +326,8 @@ class Gpm : public PeerEndpoint
     void launchNeighborProbe(Vpn vpn, RemoteCtx &ctx);
     void sendToIommu(Vpn vpn, Tick issued_at);
     void resolveRemote(Vpn vpn, Pfn pfn, TranslationSource source);
-    void retryStalledRemote();
+    /** Retry the parked ops the resolution of @p resolved lets through. */
+    void wakeStalledRemote(Vpn resolved);
 
     /** Chain construction helpers. */
     std::vector<TileId> buildRouteChain() const;
@@ -376,17 +377,15 @@ class Gpm : public PeerEndpoint
     /** Coalesces concurrent local walks of the same VPN (unbounded). */
     MshrFile localWalkMshr_{0};
 
-    /** An op waiting for a free remote MSHR, with its issue-time key. */
-    struct StalledOp
-    {
-        Addr va = 0;
-        Vpn key = 0;
-    };
-
     // Remote client state.
     MshrFile remoteMshr_;
     std::unordered_map<Vpn, RemoteCtx> remoteCtx_;
-    std::deque<StalledOp> stalledRemote_;
+    /** Ops waiting for a free remote MSHR, with their issue-time keys. */
+    StalledOps stalledRemote_;
+    /** Scratch for wakeStalledRemote (kept to avoid reallocating). */
+    std::vector<StalledOps::Op> wokenRemote_;
+    /** L2 TLB inserts made by fillLocalHierarchy (stall invariant 3). */
+    std::uint64_t l2Fills_ = 0;
     std::uint64_t epochCounter_ = 0;
 
     /** Address space newly issued ops bind to (0 = identity). */

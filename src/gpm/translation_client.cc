@@ -38,10 +38,12 @@ Gpm::startRemote(Addr va, Vpn key, Tick when)
             break;
           case MshrFile::Outcome::Full:
             // The paper's MSHR concurrency limit: the op waits for a
-            // free entry and retries on the next resolution.
+            // free entry and retries when a resolution frees one.
             ++stats_.remoteStalls;
             trace(vpn, SpanEvent::RemoteStalled);
-            stalledRemote_.push_back({va, key});
+            stalledRemote_.push(va, key, [this](Vpn k) {
+                return l2Tlb_.peek(k).has_value();
+            });
             if (bpStalledRemote_) [[unlikely]]
                 bpStalledRemote_->arrive(engine_.now());
             break;
@@ -50,17 +52,35 @@ Gpm::startRemote(Addr va, Vpn key, Tick when)
 }
 
 void
-Gpm::retryStalledRemote()
+Gpm::wakeStalledRemote(Vpn resolved)
 {
     if (stalledRemote_.empty())
         return;
-    std::deque<StalledOp> pending;
-    pending.swap(stalledRemote_);
-    for (const StalledOp op : pending) {
-        // Each stalled op leaves the queue for its retry; a still-full
-        // MSHR re-enqueues it below as a fresh arrival.
-        if (bpStalledRemote_) [[unlikely]]
-            bpStalledRemote_->depart(engine_.now());
+    // The model is a FIFO rescan: every parked op leaves the queue and
+    // retries in stall order -- an L2 TLB hit completes it, otherwise
+    // the MSHR file merges, allocates, or rejects it back into the
+    // queue. StalledOps picks out exactly the ops that rescan lets
+    // through, relying on three invariants:
+    //  1. ops are parked only while the MSHR file is full, so (outside
+    //     this function) a non-empty queue means a full file;
+    //  2. no parked key is in flight in the MSHR file -- a parked op
+    //     bounced because its key was not, and a key only starts
+    //     flying here, where its whole group is let through;
+    //  3. fillLocalHierarchy is the only L2 TLB insert, so its
+    //     noteL2Insert hook sees every key that may now hit.
+    hdpat_panic_if(stalledRemote_.contains(resolved),
+                   "tile " << tile_ << ": parked ops on key " << resolved
+                           << " were in flight in the remote MSHR file");
+    hdpat_panic_if(l2Tlb_.stats().inserts != l2Fills_,
+                   "tile " << tile_ << ": L2 TLB insert outside "
+                           << "fillLocalHierarchy");
+    // Parked ops imply a bounded file (capacity 0 never rejects).
+    const StalledOps::WakeCount count = stalledRemote_.wake(
+        remoteMshr_.capacity() - remoteMshr_.occupancy(),
+        [this](Vpn k) { return l2Tlb_.peek(k).has_value(); },
+        wokenRemote_);
+
+    for (const StalledOps::Op &op : wokenRemote_) {
         const Addr va = op.va;
         const Vpn vpn = op.key;
         // A just-finished resolution may already cover this op.
@@ -73,20 +93,25 @@ Gpm::retryStalledRemote()
             vpn, [this, va](Vpn v, Pfn) {
                 dataAccess(va, v, engine_.now());
             });
-        switch (outcome) {
-          case MshrFile::Outcome::Allocated:
+        hdpat_panic_if(outcome == MshrFile::Outcome::Full,
+                       "tile " << tile_ << ": woken op on key " << vpn
+                               << " bounced off a full MSHR file");
+        if (outcome == MshrFile::Outcome::Allocated) {
             ++stats_.remoteResolutions;
             launchRemoteProtocol(vpn);
-            break;
-          case MshrFile::Outcome::Merged:
-            break;
-          case MshrFile::Outcome::Full:
-            stalledRemote_.push_back(op);
-            if (bpStalledRemote_) [[unlikely]]
-                bpStalledRemote_->arrive(engine_.now());
-            break;
         }
     }
+
+    // The ops left parked bounced in the rescan: account the bounces
+    // and the queue's depart/re-arrive churn in bulk.
+    remoteMshr_.rejectFull(count.remaining);
+    if (bpStalledRemote_) [[unlikely]]
+        bpStalledRemote_->departAndReturn(engine_.now(), count.before,
+                                          count.remaining, count.high);
+    hdpat_panic_if(!stalledRemote_.empty() && !remoteMshr_.full(),
+                   "tile " << tile_ << ": " << stalledRemote_.size()
+                           << " ops parked behind a remote MSHR file "
+                           << "with free entries");
 }
 
 void
@@ -347,7 +372,7 @@ Gpm::resolveRemote(Vpn vpn, Pfn pfn, TranslationSource source)
 
     fillLocalHierarchy(vpn, pfn, /*remote=*/true);
     remoteMshr_.resolve(vpn, pfn);
-    retryStalledRemote();
+    wakeStalledRemote(vpn);
 }
 
 void

@@ -88,7 +88,7 @@ Iommu::setBackpressure(BackpressureCollector &bp)
         bpTlbMshrs_ = bp.add("iommu.tlb_mshrs", ResourceKind::Mshr,
                              cfg_.iommuTlbMshrs);
         tlb_->mshrs().setPressureHook(
-            [this](MshrFile::PressureEvent ev) {
+            [this](MshrFile::PressureEvent ev, std::uint64_t n) {
                 switch (ev) {
                   case MshrFile::PressureEvent::Alloc:
                     bpTlbMshrs_->arrive(engine_.now());
@@ -97,7 +97,7 @@ Iommu::setBackpressure(BackpressureCollector &bp)
                     bpTlbMshrs_->depart(engine_.now());
                     break;
                   case MshrFile::PressureEvent::Reject:
-                    bpTlbMshrs_->reject();
+                    bpTlbMshrs_->reject(n);
                     break;
                 }
             });

@@ -13,6 +13,7 @@
 #define HDPAT_MEM_MSHR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -57,7 +58,7 @@ class MshrFile
     {
         Alloc, ///< A new entry was allocated (occupancy +1).
         Free,  ///< An entry was resolved and freed (occupancy -1).
-        Reject ///< A miss bounced off a full table (no transition).
+        Reject ///< Misses bounced off a full table (no transition).
     };
 
     /**
@@ -67,7 +68,8 @@ class MshrFile
      * why a global stage==resource Little's-law check cannot hold and
      * the backpressure oracle is per-resource (see obs/backpressure.hh).
      */
-    using PressureHook = std::function<void(PressureEvent)>;
+    using PressureHook =
+        std::function<void(PressureEvent, std::uint64_t count)>;
 
     /** @param capacity 0 means unlimited. */
     explicit MshrFile(std::size_t capacity) : capacity_(capacity) {}
@@ -91,7 +93,7 @@ class MshrFile
         if (capacity_ != 0 && entries_.size() >= capacity_) {
             ++stats_.fullRejections;
             if (pressureHook_) [[unlikely]]
-                pressureHook_(PressureEvent::Reject);
+                pressureHook_(PressureEvent::Reject, 1);
             return Outcome::Full;
         }
         entries_[vpn].push_back(std::move(cb));
@@ -99,8 +101,20 @@ class MshrFile
         if (auditHook_) [[unlikely]]
             auditHook_(true);
         if (pressureHook_) [[unlikely]]
-            pressureHook_(PressureEvent::Alloc);
+            pressureHook_(PressureEvent::Alloc, 1);
         return Outcome::Allocated;
+    }
+
+    /**
+     * Account @p n misses bouncing off the full table at once: the
+     * same stats and pressure report as @p n registerMiss() calls
+     * returning Full, in O(1).
+     */
+    void rejectFull(std::uint64_t n)
+    {
+        stats_.fullRejections += n;
+        if (pressureHook_ && n != 0) [[unlikely]]
+            pressureHook_(PressureEvent::Reject, n);
     }
 
     /** True if a miss for @p vpn is already in flight. */
@@ -121,7 +135,7 @@ class MshrFile
         if (auditHook_) [[unlikely]]
             auditHook_(false);
         if (pressureHook_) [[unlikely]]
-            pressureHook_(PressureEvent::Free);
+            pressureHook_(PressureEvent::Free, 1);
         for (auto &cb : waiters)
             cb(vpn, pfn);
     }

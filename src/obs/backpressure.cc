@@ -46,6 +46,30 @@ Resource::advance(Tick now)
     lastTick_ = now;
 }
 
+void
+Resource::departAndReturn(Tick now, std::uint64_t departing,
+                          std::uint64_t returning, std::uint64_t high)
+{
+    if (departing == 0)
+        return;
+    advance(now);
+    departures_ += departing;
+    sumDepartTicks_ += departing * now;
+    occupancy_ -= departing;
+    if (returning == 0)
+        return;
+    arrivals_ += returning;
+    sumArriveTicks_ += returning * now;
+    occupancy_ += returning;
+    if (high > peak_)
+        peak_ = high;
+    if (windowTicks_ != 0) {
+        ResourceWindow &w = windowAt(now / windowTicks_);
+        if (high > w.peak)
+            w.peak = high;
+    }
+}
+
 ResourceWindow &
 Resource::windowAt(std::uint64_t index)
 {

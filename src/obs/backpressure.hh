@@ -127,8 +127,18 @@ class Resource
         --occupancy_;
     }
 
-    /** One admission attempt bounced off a full resource. */
-    void reject() { ++rejections_; }
+    /**
+     * Bulk form of @p departing depart(now) calls interleaved with
+     * @p returning arrive(now) calls (a rescan that takes every item
+     * out and puts some back), in O(1). @p high is the highest
+     * occupancy reached right after one of the returns; it feeds the
+     * peaks exactly as the per-item arrivals would.
+     */
+    void departAndReturn(Tick now, std::uint64_t departing,
+                         std::uint64_t returning, std::uint64_t high);
+
+    /** @p n admission attempts bounced off a full resource. */
+    void reject(std::uint64_t n = 1) { rejections_ += n; }
 
     /**
      * Analytic link accounting: one packet crossed the link, holding
