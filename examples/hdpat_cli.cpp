@@ -49,10 +49,13 @@
  * Configs:  MI100, MI200, MI300, H100, H200, MI100-7x12, MCM4
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -99,6 +102,31 @@ policyByName(const std::string &name)
     std::cerr << "unknown policy: " << name << "\n";
     std::exit(1);
 }
+
+/**
+ * Parse all of @p text as an integer in [lo, hi]. A sign on an
+ * unsigned type, trailing characters, overflow or a value out of range
+ * exits 1 with a message naming @p what.
+ */
+template <typename T>
+T
+parseInt(const std::string &what, const std::string &text, T lo, T hi)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+        std::cerr << what << " expects an integer in [" << lo << ", "
+                  << hi << "], got '" << text << "'\n";
+        std::exit(1);
+    }
+    return v;
+}
+
+/** Largest --ops: streams are materialized per GPM. */
+constexpr std::size_t kMaxOpsPerGpm = 10'000'000;
+/** Largest --mesh side (a 64x64 wafer already has 4,095 GPMs). */
+constexpr int kMaxMeshSide = 64;
 
 struct Options
 {
@@ -149,15 +177,17 @@ parse(int argc, char **argv)
         } else if (arg == "--config") {
             opt.config = value();
         } else if (arg == "--ops") {
-            opt.ops = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            opt.ops = parseInt<std::size_t>(arg, value(), 1,
+                                            kMaxOpsPerGpm);
         } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            opt.seed = parseInt<std::uint64_t>(
+                arg, value(), 0, std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--scale") {
             opt.scale = std::atof(value().c_str());
         } else if (arg == "--page-shift") {
-            opt.pageShift = std::atoi(value().c_str());
+            // Any shift of a 64-bit address parses; validationErrors()
+            // then holds it to the supported page sizes.
+            opt.pageShift = parseInt(arg, value(), 1, 63);
         } else if (arg == "--mesh") {
             // "WxH", e.g. --mesh 7x12.
             const std::string v = value();
@@ -167,8 +197,10 @@ parse(int argc, char **argv)
                           << v << "'\n";
                 std::exit(1);
             }
-            opt.meshWidth = std::atoi(v.substr(0, x).c_str());
-            opt.meshHeight = std::atoi(v.substr(x + 1).c_str());
+            opt.meshWidth = parseInt("--mesh width", v.substr(0, x), 1,
+                                     kMaxMeshSide);
+            opt.meshHeight = parseInt("--mesh height", v.substr(x + 1),
+                                      1, kMaxMeshSide);
         } else if (arg == "--csv") {
             opt.csv_path = value();
         } else if (arg == "--trace") {
@@ -241,6 +273,13 @@ parse(int argc, char **argv)
                    "[--latency-report FILE] [--backpressure] "
                    "[--backpressure-window TICKS] "
                    "[--backpressure-report FILE]\n"
+                   "  --ops N          ops per GPM, 1 to 10000000 "
+                   "(default 12000 x HDPAT_BENCH_SCALE)\n"
+                   "  --seed S         workload seed, any unsigned "
+                   "64-bit integer\n"
+                   "  --page-shift N   log2 of the page size; the "
+                   "configuration accepts 12 to 30\n"
+                   "  --mesh WxH       wafer mesh, each side 1 to 64\n"
                    "  --jobs N  run multi-workload sweeps N "
                    "simulations at a time (default: HDPAT_JOBS or "
                    "all cores); results are identical to serial\n"

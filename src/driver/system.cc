@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <span>
-#include <unordered_map>
 
 #include "sim/log.hh"
 
@@ -393,17 +392,18 @@ System::loadWorkload(Workload &workload, std::size_t ops_per_gpm,
     }
     pt_.setActiveAsid(0);
 
-    // Seed each GPM's cuckoo filter with its local pages (one pass
-    // over the page table, bucketed by home).
-    std::unordered_map<TileId, std::vector<Vpn>> by_home;
+    // Seed each GPM's cuckoo filter with its local pages: one pass
+    // over the page table into per-tile lists sized up front. The
+    // forEachPage visit order is the seeding order, which fixes the
+    // filter contents.
+    std::vector<std::vector<Vpn>> by_home(gpmByTile_.size());
+    for (std::size_t tile = 0; tile < by_home.size(); ++tile)
+        by_home[tile].reserve(pt_.pagesHomedOn(static_cast<TileId>(tile)));
     pt_.forEachPage([&by_home](Vpn vpn, const Pte &pte) {
-        by_home[pte.home].push_back(vpn);
+        by_home[static_cast<std::size_t>(pte.home)].push_back(vpn);
     });
-    for (auto &gpm : gpms_) {
-        auto it = by_home.find(gpm->tile());
-        if (it != by_home.end())
-            gpm->seedLocalPages(it->second);
-    }
+    for (auto &gpm : gpms_)
+        gpm->seedLocalPages(by_home[static_cast<std::size_t>(gpm->tile())]);
 
     const double rate = workload.info().opsPerCycle * cfg_.computeScale;
     const int window = static_cast<int>(workload.info().maxOutstanding *

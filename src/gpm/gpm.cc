@@ -236,8 +236,7 @@ Gpm::seedLocalPages(std::span<const Vpn> vpns)
 {
     // The cuckoo filter tracks everything translatable locally; local
     // pages are permanently present (paper §II-B).
-    for (Vpn vpn : vpns)
-        cuckoo_.insert(vpn);
+    cuckoo_.insertBatch(vpns);
 }
 
 void

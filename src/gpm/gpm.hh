@@ -140,7 +140,8 @@ class Gpm : public PeerEndpoint
 
     /**
      * Pre-populate the cuckoo filter with the VPNs homed on this GPM
-     * (the local page table always maps them).
+     * (the local page table always maps them), in order, as one
+     * prefetched batch.
      */
     void seedLocalPages(std::span<const Vpn> vpns);
 

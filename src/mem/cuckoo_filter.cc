@@ -158,11 +158,43 @@ CuckooFilter::bucketContains(std::size_t bucket, Fingerprint fp) const
 bool
 CuckooFilter::insert(Vpn vpn)
 {
+    return insertAt(indexOf(vpn), fingerprintOf(vpn));
+}
+
+void
+CuckooFilter::insertBatch(std::span<const Vpn> vpns)
+{
+    // Primary buckets of the VPNs in flight: hashed once, when their
+    // prefetch is issued, and read back when they insert.
+    std::size_t primary[kPrefetchDistance] = {};
+    const auto prefetch = [&](std::size_t k) {
+        const std::size_t bucket = indexOf(vpns[k]);
+        primary[k % kPrefetchDistance] = bucket;
+        __builtin_prefetch(&table_[bucket * kSlotsPerBucket]);
+    };
+    const std::size_t n = vpns.size();
+    for (std::size_t k = 0; k < std::min(kPrefetchDistance, n); ++k)
+        prefetch(k);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i1 = primary[k % kPrefetchDistance];
+        if (k + kPrefetchDistance < n)
+            prefetch(k + kPrefetchDistance);
+        insertAt(i1, fingerprintOf(vpns[k]));
+    }
+}
+
+bool
+CuckooFilter::insertAt(std::size_t i1, Fingerprint fp)
+{
     ++stats_.inserts;
-    Fingerprint fp = fingerprintOf(vpn);
-    std::size_t i1 = indexOf(vpn);
-    std::size_t i2 = altIndex(i1, fp);
-    if (bucketInsert(i1, fp) || bucketInsert(i2, fp)) {
+    // The alternate bucket is pure in (i1, fp), so computing it only
+    // once the primary is full changes nothing but the work done.
+    if (bucketInsert(i1, fp)) {
+        ++count_;
+        return true;
+    }
+    const std::size_t i2 = altIndex(i1, fp);
+    if (bucketInsert(i2, fp)) {
         ++count_;
         return true;
     }
@@ -207,8 +239,7 @@ CuckooFilter::erase(Vpn vpn)
 {
     const Fingerprint fp = fingerprintOf(vpn);
     const std::size_t i1 = indexOf(vpn);
-    const std::size_t i2 = altIndex(i1, fp);
-    if (bucketErase(i1, fp) || bucketErase(i2, fp)) {
+    if (bucketErase(i1, fp) || bucketErase(altIndex(i1, fp), fp)) {
         ++stats_.deletes;
         --count_;
         return true;
@@ -222,8 +253,8 @@ CuckooFilter::contains(Vpn vpn) const
     ++stats_.lookups;
     const Fingerprint fp = fingerprintOf(vpn);
     const std::size_t i1 = indexOf(vpn);
-    const std::size_t i2 = altIndex(i1, fp);
-    const bool hit = bucketContains(i1, fp) || bucketContains(i2, fp);
+    const bool hit = bucketContains(i1, fp) ||
+                     bucketContains(altIndex(i1, fp), fp);
     if (hit)
         ++stats_.positives;
     return hit;

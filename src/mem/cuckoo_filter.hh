@@ -12,6 +12,7 @@
 #define HDPAT_MEM_CUCKOO_FILTER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -35,6 +36,8 @@ class CuckooFilter
         std::uint64_t inserts = 0;
         std::uint64_t insertFailures = 0;
         std::uint64_t deletes = 0;
+
+        bool operator==(const Stats &) const = default;
     };
 
     /**
@@ -60,6 +63,15 @@ class CuckooFilter
      */
     bool insert(Vpn vpn);
 
+    /**
+     * Insert every VPN of @p vpns, in order: the table, size(), stats()
+     * and the kick RNG end exactly as after insert() on each in turn,
+     * so failed inserts show only in stats().insertFailures. The batch
+     * prefetches the primary bucket kPrefetchDistance VPNs ahead, so
+     * the cache misses of consecutive inserts overlap.
+     */
+    void insertBatch(std::span<const Vpn> vpns);
+
     /** Remove one copy of @p vpn. @return true if a copy was found. */
     bool erase(Vpn vpn);
 
@@ -82,8 +94,17 @@ class CuckooFilter
     const Stats &stats() const { return stats_; }
     Stats &stats() { return stats_; }
 
+    /** The slot array: bucket b is [4b, 4b+4), 0 marks an empty slot. */
+    std::span<const std::uint16_t> slots() const { return table_; }
+
     static constexpr unsigned kSlotsPerBucket = 4;
     static constexpr unsigned kMaxKicks = 500;
+    /**
+     * How many VPNs ahead insertBatch() prefetches. On a 4-core x86-64
+     * host the traced fig14-sweep benchmark measured mem.cuckoo_seed_s
+     * 0.06 s at 32, 0.044 s at 64 and 0.044 s at 128.
+     */
+    static constexpr std::size_t kPrefetchDistance = 64;
 
   private:
     using Fingerprint = std::uint16_t;
@@ -92,6 +113,9 @@ class CuckooFilter
     Fingerprint fingerprintOf(Vpn vpn) const;
     std::size_t indexOf(Vpn vpn) const;
     std::size_t altIndex(std::size_t idx, Fingerprint fp) const;
+
+    /** The insert body shared by insert() and insertBatch(). */
+    bool insertAt(std::size_t i1, Fingerprint fp);
 
     bool bucketInsert(std::size_t bucket, Fingerprint fp);
     bool bucketErase(std::size_t bucket, Fingerprint fp);

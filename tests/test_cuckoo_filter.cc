@@ -5,6 +5,7 @@
  * support, and bounded false-positive rates.
  */
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,53 @@ TEST(CuckooFilterTest, DeterministicAcrossInstances)
     }
     for (Vpn v = 0; v < 1000; ++v)
         EXPECT_EQ(a.contains(v), b.contains(v));
+}
+
+/** Whole-filter equality: slots, count and every statistic. */
+void
+expectSameState(const CuckooFilter &a, const CuckooFilter &b)
+{
+    EXPECT_TRUE(std::ranges::equal(a.slots(), b.slots()));
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a.stats() == b.stats());
+}
+
+TEST(CuckooFilterTest, BatchInsertMatchesInsertLoop)
+{
+    // insertBatch() must leave exactly the filter an insert() loop
+    // leaves, kick RNG included: the inserts that follow the batch
+    // kick on both filters and must land identically. Capacity 64 and
+    // the 2,000-into-1,024 case overflow (kicks and failed inserts);
+    // 3 VPNs is shorter than the prefetch distance.
+    struct Case
+    {
+        std::size_t capacity;
+        std::size_t vpns;
+        bool overloaded;
+    };
+    const Case cases[] = {
+        {64, 400, true},   {1024, 2000, true},     {1024, 600, false},
+        {4096, 3, false},  {1u << 17, 1800, false}, {0, 40, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("capacity " + std::to_string(c.capacity) + ", " +
+                     std::to_string(c.vpns) + " vpns");
+        Rng rng(c.capacity + c.vpns);
+        std::vector<Vpn> vpns(c.vpns);
+        for (Vpn &v : vpns)
+            v = 0x100 + rng.uniformInt(1u << 20);
+
+        CuckooFilter loop(c.capacity), batch(c.capacity);
+        for (Vpn v : vpns)
+            loop.insert(v);
+        batch.insertBatch(vpns);
+        expectSameState(loop, batch);
+        EXPECT_EQ(loop.stats().insertFailures > 0, c.overloaded);
+
+        for (Vpn v = 1u << 21; v < (1u << 21) + 64; ++v)
+            ASSERT_EQ(loop.insert(v), batch.insert(v)) << "vpn " << v;
+        expectSameState(loop, batch);
+    }
 }
 
 TEST(CuckooFilterTest, BadFingerprintWidthIsFatal)
