@@ -4,16 +4,11 @@
  * (with the paper's reported result for comparison), op-count and
  * worker-count selection, and common sweep loops.
  *
- * Every harness runs its sweep grid through runMany()'s worker pool:
- * `--jobs N` (or HDPAT_JOBS=N) runs N simulations concurrently with
- * results identical to serial execution.
- *
- * Observability rides along for free: runs started through run() and
- * runMany() honour HDPAT_METRICS_JSON, HDPAT_TRACE_OUT,
- * HDPAT_TRACE_SAMPLE, and HDPAT_HEARTBEAT, so any figure harness can
- * emit a metrics dump or a Chrome trace without code changes.
- * Multi-run harnesses write one file per run: the shared output path
- * gets a "-<run_index>" suffix (see driver/parallel.hh).
+ * Every harness runs its sweep grid through runMany()'s worker pool,
+ * and every run honours the option table's environment variables
+ * (driver/options.hh): metrics dumps, traces and the other observers
+ * need no per-harness wiring. Multi-run harnesses write one file per
+ * run (a "-<run_index>" suffix, see driver/parallel.hh).
  */
 
 #ifndef HDPAT_BENCH_BENCH_COMMON_HH
@@ -42,10 +37,10 @@ void printBanner(const std::string &figure, const std::string &what,
 
 /**
  * Ops per GPM for this harness: @p fraction of the global default
- * (HDPAT_BENCH_SCALE-scaled), overridable with the first positional
- * argument. Also applies the `--jobs N` / `--jobs=N` flag
- * (setDefaultJobs) so every harness gets the parallel runner without
- * per-bench wiring.
+ * (scaled by benchScale()), overridable with the one positional
+ * argument. Also applies the bench-harness flags of the option table
+ * (`--jobs N`, via setDefaultJobs) so every harness gets the parallel
+ * runner without per-bench wiring. A malformed argument exits 1.
  */
 std::size_t benchOps(int argc, char **argv, double fraction = 1.0);
 

@@ -14,7 +14,6 @@
  * hdpat_diff.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -26,14 +25,6 @@ using namespace hdpat;
 
 namespace
 {
-
-/** Where the per-cell metrics dumps go. */
-std::string
-dumpDir()
-{
-    const char *env = std::getenv("HDPAT_TENANT_CHURN_DIR");
-    return env && *env ? env : ".";
-}
 
 struct Cell
 {
@@ -51,8 +42,8 @@ runCell(const SystemConfig &cfg, const TranslationPolicy &pol,
         std::uint64_t switch_rate, std::uint64_t churn_rate)
 {
     std::ostringstream path;
-    path << dumpDir() << "/fig_tenant_churn." << pol.name << ".t"
-         << tenants << ".s" << switch_rate << ".json";
+    path << envRunOptions().tenantChurnDir << "/fig_tenant_churn."
+         << pol.name << ".t" << tenants << ".s" << switch_rate << ".json";
 
     RunSpec spec = bench::spec(cfg, pol, "PR", ops);
     spec.tenancy = TenancySpec{};
@@ -132,6 +123,7 @@ main(int argc, char **argv)
     }
 
     std::cout << "cells are slowdown vs the same policy's "
-                 "single-tenant run; dumps in " << dumpDir() << "\n";
+                 "single-tenant run; dumps in "
+              << envRunOptions().tenantChurnDir << "\n";
     return 0;
 }

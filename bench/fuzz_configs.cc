@@ -12,25 +12,25 @@
  * failure to a minimal reproducer and writes it as a `.fuzzcase`
  * file ready for tests/fuzz_corpus/.
  *
- * Usage:
- *   hdpat_fuzz [--seed N] [--runs N] [--out DIR] [--timeout SEC]
- *              [--multi-tenant] [--replay FILE]...
+ * Usage: hdpat_fuzz [OPTION]... (--seed, --runs, --out, --timeout,
+ * --replay FILE..., --multi-tenant; an unknown or malformed argument
+ * prints the option list).
  *
  * Exit status: 0 when every case passed (or every replay passed),
- * 1 when any finding was produced.
+ * 1 when any finding was produced or an argument was malformed.
  */
 
 #include <sys/stat.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "driver/options.hh"
 #include "fuzz/harness.hh"
 #include "fuzz/sampler.hh"
 #include "fuzz/shrinker.hh"
@@ -52,52 +52,41 @@ struct Options
     bool forceMultiTenant = false;
 };
 
-void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--seed N] [--runs N] [--out DIR] [--timeout SEC]\n"
-        << "       [--replay FILE]...\n"
-        << "  --seed N       RNG seed for the sampler (default 1)\n"
-        << "  --runs N       cases to sample (default 200)\n"
-        << "  --out DIR      where shrunk reproducers are written\n"
-        << "                 (default fuzz-failures; created lazily)\n"
-        << "  --timeout SEC  per-case wall-clock budget (default 60)\n"
-        << "  --replay FILE  run a .fuzzcase file instead of sampling\n"
-        << "                 (repeatable; skips the random sweep)\n"
-        << "  --multi-tenant force every sampled case multi-tenant\n"
-        << "                 (>=2 ASIDs with switch + churn arrivals),\n"
-        << "                 a directed sweep of the staleness oracle\n";
-    std::exit(1);
-}
-
 Options
-parseArgs(int argc, char **argv)
+parseOptions(int argc, char **argv)
 {
+    using K = OptionKind;
+    using V = const OptionValue &;
     Options opt;
-    const auto value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(argv[0]);
-        return argv[++i];
+    const std::vector<OptionRow> rows = {
+        {.flag = "--seed", .kind = K::Int,
+         .hi = std::numeric_limits<std::uint64_t>::max(), .valueName = "N",
+         .defaultText = "1", .help = "RNG seed for the sampler",
+         .set = [&opt](V v) { opt.seed = v.integer; }},
+        {.flag = "--runs", .kind = K::Int, .lo = 1, .hi = 1'000'000,
+         .valueName = "N", .defaultText = "200", .help = "cases to sample",
+         .set = [&opt](V v) { opt.runs = static_cast<int>(v.integer); }},
+        {.flag = "--out", .valueName = "DIR", .defaultText = "fuzz-failures",
+         .help = "where shrunk reproducers are written (created lazily)",
+         .set = [&opt](V v) { opt.outDir = v.text; }},
+        {.flag = "--timeout", .kind = K::Int, .hi = 86'400,
+         .valueName = "SEC", .defaultText = "60; 0 = none",
+         .help = "per-case wall-clock budget",
+         .set = [&opt](V v) { opt.timeoutSeconds = v.integer; }},
+        {.flag = "--replay", .valueName = "FILE",
+         .help = "run a .fuzzcase file instead (repeatable)",
+         .set = [&opt](V v) { opt.replays.push_back(v.text); }},
+        {.flag = "--multi-tenant", .kind = K::Bool,
+         .help = "make every sampled case multi-tenant (>= 2 ASIDs, "
+                 "switch + churn): a directed staleness-oracle sweep",
+         .set = [&opt](V) { opt.forceMultiTenant = true; }},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seed")
-            opt.seed = std::strtoull(value(i), nullptr, 0);
-        else if (arg == "--runs")
-            opt.runs = std::atoi(value(i));
-        else if (arg == "--out")
-            opt.outDir = value(i);
-        else if (arg == "--timeout")
-            opt.timeoutSeconds =
-                static_cast<unsigned>(std::atoi(value(i)));
-        else if (arg == "--replay")
-            opt.replays.emplace_back(value(i));
-        else if (arg == "--multi-tenant")
-            opt.forceMultiTenant = true;
-        else
-            usage(argv[0]);
+    try {
+        parseArgs(argc, argv, rows);
+    } catch (const OptionError &e) {
+        std::cerr << e.what() << "\nusage: " << argv[0]
+                  << " [OPTION]...\n" << optionHelp(rows);
+        std::exit(1);
     }
     return opt;
 }
@@ -197,7 +186,7 @@ replayFiles(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parseArgs(argc, argv);
+    const Options opt = parseOptions(argc, argv);
     if (!opt.replays.empty())
         return replayFiles(opt);
 

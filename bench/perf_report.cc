@@ -57,8 +57,8 @@ profileOf(const JsonValue &doc, const std::string &what)
     const JsonValue *profile = doc.find("profile");
     if (!profile) {
         std::cerr << "error: " << what
-                  << " has no \"profile\" section (run with "
-                     "--profile / HDPAT_PROFILE=1)\n";
+                  << " has no \"profile\" section (run with the host "
+                     "self-profiler on)\n";
         std::exit(1);
     }
     return *profile;
@@ -328,8 +328,8 @@ latencyOf(const JsonValue &doc, const std::string &what)
     if (doc.find("spans") && doc.find("stages"))
         return doc;
     std::cerr << "error: " << what
-              << " has no \"latency\" section (run with --latency / "
-                 "HDPAT_LATENCY=1)\n";
+              << " has no \"latency\" section (run with latency "
+                 "attribution on)\n";
     std::exit(1);
 }
 
@@ -538,9 +538,9 @@ usage()
            "[MAX_PCT]\n"
            "       perf_report --latency-check METRICS.json\n"
            "Reads the \"profile\" section the host self-profiler "
-           "exports (--profile / HDPAT_PROFILE=1) and the \"latency\" "
-           "section latency attribution exports (--latency / "
-           "HDPAT_LATENCY=1). --check exits nonzero when SECTION's "
+           "exports and the \"latency\" section latency attribution "
+           "exports (hdpat_cli's option table lists both switches). "
+           "--check exits nonzero when SECTION's "
            "ns/call regressed more than MAX_PCT percent vs the "
            "baseline; --counter-check does the same for an exported "
            "counter (e.g. engine.events_scheduled) against the "

@@ -7,11 +7,11 @@
  * Usage: quickstart [WORKLOAD] [OPS_PER_GPM]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "driver/parallel.hh"
+#include "driver/options.hh"
 #include "driver/runner.hh"
 #include "driver/table_printer.hh"
 
@@ -22,7 +22,8 @@ main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "SPMV";
     const std::size_t ops =
-        argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8000;
+        argc > 2 ? orExit([&] { return parseOpsPerGpm(argv[2]); })
+                 : 8000;
 
     std::cout << "HDPAT quickstart: " << workload << " on a 7x7 wafer ("
               << SystemConfig::mi100().numGpms() << " GPMs), " << ops

@@ -9,12 +9,12 @@
  * Usage: wafer_sweep [WORKLOAD] [OPS_PER_GPM]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "driver/parallel.hh"
+#include "driver/options.hh"
 #include "driver/runner.hh"
 #include "driver/table_printer.hh"
 
@@ -25,7 +25,8 @@ main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "SPMV";
     const std::size_t ops =
-        argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 6000;
+        argc > 2 ? orExit([&] { return parseOpsPerGpm(argv[2]); })
+                 : 6000;
 
     struct Mesh
     {

@@ -9,10 +9,10 @@
  * Usage: workload_explorer [WORKLOAD] [OPS_PER_GPM]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "driver/options.hh"
 #include "driver/runner.hh"
 #include "driver/table_printer.hh"
 #include "driver/trace_analysis.hh"
@@ -24,7 +24,8 @@ main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "PR";
     const std::size_t ops =
-        argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 8000;
+        argc > 2 ? orExit([&] { return parseOpsPerGpm(argv[2]); })
+                 : 8000;
 
     RunSpec spec;
     spec.config = SystemConfig::mi100();

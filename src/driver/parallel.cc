@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -21,25 +20,17 @@ namespace
 /** setDefaultJobs() override; 0 = none. */
 std::atomic<unsigned> g_jobs_override{0};
 
-unsigned
-jobsFromEnvironment()
-{
-    if (const char *env = std::getenv("HDPAT_JOBS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
 } // namespace
 
 unsigned
 defaultJobs()
 {
-    const unsigned override = g_jobs_override.load();
-    return override > 0 ? override : jobsFromEnvironment();
+    if (const unsigned override = g_jobs_override.load())
+        return override;
+    if (const unsigned env = envRunOptions().jobs)
+        return env;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? hw : 1;
 }
 
 void
@@ -193,45 +184,23 @@ WorkerPool::parallelFor(std::size_t n, unsigned max_parallel,
 // runMany
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * Suffix per-run observability outputs so a sweep sharing one
- * HDPAT_METRICS_JSON / HDPAT_TRACE_OUT destination fans out to one
- * file per run instead of overwriting. Applied for any multi-spec
- * batch (serial included) so jobs=1 and jobs=N name identical files.
- */
-void
-suffixObsPaths(std::vector<RunSpec> &specs)
-{
-    if (specs.size() < 2)
-        return;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        ObsOptions &obs = specs[i].obs;
-        if (!obs.metricsJsonPath.empty())
-            obs.metricsJsonPath =
-                withRunIndexSuffix(obs.metricsJsonPath, i);
-        if (!obs.traceOutPath.empty())
-            obs.traceOutPath = withRunIndexSuffix(obs.traceOutPath, i);
-        if (!obs.spatialCsvPath.empty())
-            obs.spatialCsvPath =
-                withRunIndexSuffix(obs.spatialCsvPath, i);
-        if (!obs.latencyReportPath.empty())
-            obs.latencyReportPath =
-                withRunIndexSuffix(obs.latencyReportPath, i);
-        if (!obs.backpressureReportPath.empty())
-            obs.backpressureReportPath =
-                withRunIndexSuffix(obs.backpressureReportPath, i);
-    }
-}
-
-} // namespace
-
 std::vector<RunResult>
 runMany(std::vector<RunSpec> specs, unsigned jobs)
 {
-    suffixObsPaths(specs);
+    // Suffix per-run output paths so a sweep sharing one destination
+    // fans out to one file per run instead of overwriting. Any
+    // multi-spec batch (serial included) gets it, so jobs=1 and jobs=N
+    // name identical files.
+    for (std::size_t i = 0; specs.size() > 1 && i < specs.size(); ++i) {
+        for (std::string ObsOptions::*path :
+             {&ObsOptions::metricsJsonPath, &ObsOptions::traceOutPath,
+              &ObsOptions::spatialCsvPath, &ObsOptions::latencyReportPath,
+              &ObsOptions::backpressureReportPath}) {
+            std::string &p = specs[i].obs.*path;
+            if (!p.empty())
+                p = withRunIndexSuffix(p, i);
+        }
+    }
 
     std::vector<RunResult> results(specs.size());
     const unsigned effective = static_cast<unsigned>(

@@ -1,7 +1,6 @@
 #include "driver/runner.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,121 +16,34 @@ namespace hdpat
 namespace
 {
 
-/** Heartbeat period when HDPAT_HEARTBEAT asks for "auto". */
+/** Heartbeat period when heartbeatInterval asks for auto (-1). */
 constexpr Tick kAutoHeartbeatInterval = 2'000'000;
 
-/** Spatial window when HDPAT_SPATIAL_CSV implies collection. */
-constexpr std::int64_t kDefaultSpatialWindow = 100'000;
-
-/** Accept "N" or "1/N"; anything unparsable keeps @p fallback. */
-std::uint64_t
-parseSampleSpec(const char *text, std::uint64_t fallback)
+/**
+ * Run @p write into a new file at @p path, timed as the profiler's
+ * export section; "" = this export is off.
+ */
+template <typename Write>
+void
+exportTo(System &system, const std::string &path, const char *what,
+         Write &&write)
 {
-    if (!text || !*text)
-        return fallback;
-    std::string s(text);
-    const auto slash = s.find('/');
-    if (slash != std::string::npos)
-        s = s.substr(slash + 1);
-    const long long v = std::atoll(s.c_str());
-    return v > 0 ? static_cast<std::uint64_t>(v) : fallback;
-}
-
-/** Boolean env flag: set and not "" / "0" means on. */
-bool
-envFlag(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env && *env && std::string(env) != "0";
+    if (path.empty())
+        return;
+    const ProfScope prof(system.profiler(), ProfSection::Export);
+    std::ofstream out(path);
+    hdpat_fatal_if(!out,
+                   "cannot open " << what << " path '" << path << "'");
+    write(out);
+    hdpat_inform("wrote " << what << " to " << path);
 }
 
 } // namespace
 
-ObsOptions
-obsOptionsFromEnv()
-{
-    ObsOptions obs;
-    if (const char *env = std::getenv("HDPAT_METRICS_JSON"))
-        obs.metricsJsonPath = env;
-    if (const char *env = std::getenv("HDPAT_TRACE_OUT"))
-        obs.traceOutPath = env;
-    obs.traceSampleN = parseSampleSpec(
-        std::getenv("HDPAT_TRACE_SAMPLE"), obs.traceSampleN);
-    if (const char *env = std::getenv("HDPAT_HEARTBEAT"))
-        obs.heartbeatInterval = std::atoll(env);
-    obs.audit = envFlag("HDPAT_AUDIT");
-    if (const char *env = std::getenv("HDPAT_WATCHDOG"))
-        obs.watchdogInterval = std::atoll(env);
-    if (const char *env = std::getenv("HDPAT_SPATIAL"))
-        obs.spatialWindow = std::atoll(env);
-    if (const char *env = std::getenv("HDPAT_SPATIAL_CSV"))
-        obs.spatialCsvPath = env;
-    obs.profile = envFlag("HDPAT_PROFILE");
-    obs.latency = envFlag("HDPAT_LATENCY");
-    obs.latencySampleN = parseSampleSpec(
-        std::getenv("HDPAT_LATENCY_SAMPLE"), obs.latencySampleN);
-    if (const char *env = std::getenv("HDPAT_LATENCY_TOPK")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            obs.latencyTopK = static_cast<std::size_t>(v);
-    }
-    if (const char *env = std::getenv("HDPAT_LATENCY_REPORT"))
-        obs.latencyReportPath = env;
-    obs.backpressure = envFlag("HDPAT_BACKPRESSURE");
-    if (const char *env = std::getenv("HDPAT_BACKPRESSURE_WINDOW"))
-        obs.backpressureWindow = std::atoll(env);
-    if (const char *env = std::getenv("HDPAT_BACKPRESSURE_REPORT"))
-        obs.backpressureReportPath = env;
-    return obs;
-}
-
-TenancySpec
-tenancySpecFromEnv()
-{
-    TenancySpec tenancy;
-    if (const char *env = std::getenv("HDPAT_TENANTS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            tenancy.asidCount = static_cast<std::uint32_t>(v);
-    }
-    if (const char *env = std::getenv("HDPAT_SWITCH_RATE")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            tenancy.switchRatePerMTicks =
-                static_cast<std::uint64_t>(v);
-    }
-    if (const char *env = std::getenv("HDPAT_CHURN_RATE")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            tenancy.churnRatePerMTicks = static_cast<std::uint64_t>(v);
-    }
-    if (const char *env = std::getenv("HDPAT_TENANCY_SEED")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            tenancy.seed = static_cast<std::uint64_t>(v);
-    }
-    return tenancy;
-}
-
-std::int64_t
-ObsOptions::effectiveSpatialWindow() const
-{
-    if (spatialWindow > 0)
-        return spatialWindow;
-    return spatialCsvPath.empty() ? 0 : kDefaultSpatialWindow;
-}
-
 double
 benchScale()
 {
-    static const double scale = [] {
-        const char *env = std::getenv("HDPAT_BENCH_SCALE");
-        if (!env)
-            return 1.0;
-        const double v = std::atof(env);
-        return v > 0.0 ? v : 1.0;
-    }();
-    return scale;
+    return envRunOptions().benchScale;
 }
 
 std::size_t
@@ -243,71 +155,31 @@ runOnce(const RunSpec &spec)
     system.loadWorkload(*workload, ops, spec.seed, std::move(streams));
     RunResult result = system.run();
 
-    if (!spec.obs.spatialCsvPath.empty()) {
-        const ProfScope prof(system.profiler(), ProfSection::Export);
-        std::ofstream out(spec.obs.spatialCsvPath);
-        hdpat_fatal_if(!out, "cannot open spatial CSV path '"
-                                 << spec.obs.spatialCsvPath << "'");
-        writeSpatialCsv(out, *system.spatial());
-        hdpat_inform("wrote spatial CSV to "
-                     << spec.obs.spatialCsvPath);
-    }
-    if (!spec.obs.traceOutPath.empty()) {
-        const ProfScope prof(system.profiler(), ProfSection::Export);
-        std::ofstream out(spec.obs.traceOutPath);
-        hdpat_fatal_if(!out, "cannot open trace path '"
-                                 << spec.obs.traceOutPath << "'");
-        writeChromeTrace(out, *system.tracer());
-        hdpat_inform("wrote Chrome trace ("
-                     << system.tracer()->spansCompleted()
-                     << " complete spans) to " << spec.obs.traceOutPath);
-    }
-    if (!spec.obs.latencyReportPath.empty()) {
-        const ProfScope prof(system.profiler(), ProfSection::Export);
-        std::ofstream out(spec.obs.latencyReportPath);
-        hdpat_fatal_if(!out, "cannot open latency report path '"
-                                 << spec.obs.latencyReportPath << "'");
-        out << criticalPathReport(result.latency);
-        hdpat_inform("wrote critical-path report ("
-                     << result.latency.slowest.size() << " spans) to "
-                     << spec.obs.latencyReportPath);
-    }
-    if (!spec.obs.backpressureReportPath.empty()) {
-        const ProfScope prof(system.profiler(), ProfSection::Export);
-        std::ofstream out(spec.obs.backpressureReportPath);
-        hdpat_fatal_if(!out,
-                       "cannot open backpressure report path '"
-                           << spec.obs.backpressureReportPath << "'");
-        out << bottleneckReport(result.backpressure);
-        hdpat_inform("wrote bottleneck report ("
-                     << result.backpressure.resources.size()
-                     << " resources) to "
-                     << spec.obs.backpressureReportPath);
-    }
+    exportTo(system, spec.obs.spatialCsvPath, "spatial CSV",
+             [&](auto &out) { writeSpatialCsv(out, *system.spatial()); });
+    exportTo(system, spec.obs.traceOutPath, "Chrome trace",
+             [&](auto &out) { writeChromeTrace(out, *system.tracer()); });
+    exportTo(system, spec.obs.latencyReportPath, "critical-path report",
+             [&](auto &out) { out << criticalPathReport(result.latency); });
+    exportTo(system, spec.obs.backpressureReportPath, "bottleneck report",
+             [&](auto &out) { out << bottleneckReport(result.backpressure); });
     // The metrics JSON goes last so its "profile" section includes the
     // other exports' wall-clock in the export section.
-    if (!spec.obs.metricsJsonPath.empty()) {
-        ProfileSnapshot prof_snap;
-        if (system.profiler())
-            prof_snap = system.profiler()->snapshot();
-        const ProfScope prof(system.profiler(), ProfSection::Export);
-        std::ofstream out(spec.obs.metricsJsonPath);
-        hdpat_fatal_if(!out, "cannot open metrics JSON path '"
-                                 << spec.obs.metricsJsonPath << "'");
-        RunMetadata meta;
-        meta.workload = result.workload;
-        meta.policy = result.policy;
-        meta.config = result.config;
-        meta.seed = spec.seed;
-        meta.totalTicks = result.totalTicks;
-        writeMetricsJson(out, system.metrics(), meta, system.spatial(),
-                         prof_snap.empty() ? nullptr : &prof_snap,
-                         system.latency() ? &result.latency : nullptr,
-                         system.backpressure() ? &result.backpressure
-                                               : nullptr);
-        hdpat_inform("wrote metrics JSON to "
-                     << spec.obs.metricsJsonPath);
-    }
+    exportTo(system, spec.obs.metricsJsonPath, "metrics JSON",
+             [&](auto &out) {
+                 const ProfileSnapshot prof =
+                     system.profiler() ? system.profiler()->snapshot()
+                                       : ProfileSnapshot{};
+                 const RunMetadata meta{result.workload, result.policy,
+                                        result.config, spec.seed,
+                                        result.totalTicks};
+                 writeMetricsJson(
+                     out, system.metrics(), meta, system.spatial(),
+                     prof.empty() ? nullptr : &prof,
+                     system.latency() ? &result.latency : nullptr,
+                     system.backpressure() ? &result.backpressure
+                                           : nullptr);
+             });
     // Re-snapshot so callers (and BENCH_*.json baselines) see the
     // export section too.
     if (system.profiler())

@@ -49,6 +49,8 @@ struct TenancySpec
     /** Seed of the scheduler's own RNG (independent of workloads). */
     std::uint64_t seed = 0x7e4a47;
 
+    bool operator==(const TenancySpec &) const = default;
+
     /** True when any knob leaves the single-tenant default. */
     bool enabled() const
     {

@@ -1,9 +1,10 @@
 #include "fuzz/fuzz_case.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "driver/options.hh"
 
 namespace hdpat
 {
@@ -252,15 +253,15 @@ parseFuzzCase(const std::string &text, std::string *error)
         if (it == kv.end())
             return; // Absent keys keep the default.
         const std::string &value = it->second;
-        char *end = nullptr;
-        const long long parsed = std::strtoll(value.c_str(), &end, 0);
-        if (end == value.c_str() || *end != '\0') {
+        const auto parsed = parseDecimal<std::int64_t>(value);
+        if (!parsed) {
             if (bad.empty())
                 bad = std::string("key \"") + name +
-                      "\" has a non-numeric value \"" + value + "\"";
+                      "\" expects a decimal 64-bit integer, got \"" +
+                      value + "\"";
             return;
         }
-        field = parsed;
+        field = *parsed;
         kv.erase(it);
     });
     if (!bad.empty())

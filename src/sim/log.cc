@@ -29,15 +29,21 @@ std::mutex g_log_mutex;
 LogLevel
 initialLevel()
 {
-    const char *env = std::getenv("HDPAT_LOG");
-    if (!env)
+    // Documented in the driver's option table, which this layer cannot
+    // depend on.
+    constexpr const char *kName = "HDPAT_LOG";
+    const char *env = std::getenv(kName);
+    const std::string value = env ? env : "";
+    if (value.empty() || value == "quiet" || value == "0")
         return LogLevel::Quiet;
-    std::string value(env);
-    if (value == "debug" || value == "2")
-        return LogLevel::Debug;
     if (value == "info" || value == "1")
         return LogLevel::Info;
-    return LogLevel::Quiet;
+    if (value == "debug" || value == "2")
+        return LogLevel::Debug;
+    std::fprintf(stderr,
+                 "%s expects quiet, info or debug (or 0, 1, 2), got '%s'\n",
+                 kName, env);
+    std::exit(1);
 }
 
 std::atomic<LogLevel> &
