@@ -392,10 +392,9 @@ System::loadWorkload(Workload &workload, std::size_t ops_per_gpm,
     }
     pt_.setActiveAsid(0);
 
-    // Seed each GPM's cuckoo filter with its local pages: one pass
-    // over the page table into per-tile lists sized up front. The
-    // forEachPage visit order is the seeding order, which fixes the
-    // filter contents.
+    // Seed each GPM's cuckoo filter with its local pages, in the page
+    // table's ascending key order: one pass into per-tile lists sized
+    // up front.
     std::vector<std::vector<Vpn>> by_home(gpmByTile_.size());
     for (std::size_t tile = 0; tile < by_home.size(); ++tile)
         by_home[tile].reserve(pt_.pagesHomedOn(static_cast<TileId>(tile)));

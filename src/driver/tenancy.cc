@@ -34,12 +34,10 @@ TenantScheduler::TenantScheduler(System &sys, const TenancySpec &spec)
 void
 TenantScheduler::start()
 {
-    // Snapshot the post-load page table; sorting decouples churn draws
-    // from hash-map iteration order.
+    // Snapshot the post-load page table, in its ascending key order.
     candidates_.clear();
     sys_.pageTable().forEachPage(
         [this](Vpn vpn, const Pte &) { candidates_.push_back(vpn); });
-    std::sort(candidates_.begin(), candidates_.end());
 
     if (spec_.switchRatePerMTicks > 0 && spec_.asidCount > 1)
         scheduleSwitch();

@@ -20,12 +20,11 @@ GlobalPageTable::allocate(std::size_t bytes, std::span<const TileId> homes)
 
     const std::size_t pages = (bytes + pageBytes() - 1) / pageBytes();
     // Each ASID bump-allocates its own VPN range from the same base, so
-    // every tenant's buffers land at identical VAs; only the tagged key
-    // differs. ASID 0 keeps using the original cursor member.
-    Vpn &cursor = activeAsid_ == 0
-                      ? nextVpn_
-                      : asidCursors_.try_emplace(activeAsid_, Vpn{0x100})
-                            .first->second;
+    // every tenant's buffers land at identical VAs; only the key tag differs.
+    if (spaces_.size() <= activeAsid_)
+        spaces_.resize(std::size_t{activeAsid_} + 1);
+    std::vector<Pte> &space = spaces_[activeAsid_];
+    const Vpn cursor = kFirstVpn + space.size();
     BufferHandle handle;
     handle.baseVa = baseOf(cursor);
     handle.numPages = pages;
@@ -37,94 +36,78 @@ GlobalPageTable::allocate(std::size_t bytes, std::span<const TileId> homes)
     // into the earliest homes, mirroring an even driver-side split.
     const std::size_t per_home = pages / homes.size();
     const std::size_t remainder = pages % homes.size();
-    std::size_t page = 0;
     for (std::size_t h = 0; h < homes.size(); ++h) {
         const TileId home = homes[h];
-        growHomeLanes(home);
+        hdpat_fatal_if(home < 0, "negative home tile " << home);
         const std::size_t lane = static_cast<std::size_t>(home);
-        std::size_t block = per_home + (h < remainder ? 1 : 0);
-        for (std::size_t i = 0; i < block; ++i, ++page) {
-            const Vpn vpn = asidKey(activeAsid_, cursor + page);
-            Pte pte;
-            pte.home = home;
-            pte.pfn = nextPfn_[lane]++;
-            table_.emplace(vpn, pte);
+        if (homeCounts_.size() <= lane) {
+            homeCounts_.resize(lane + 1, 0);
+            nextPfn_.resize(lane + 1, 0);
         }
+        const std::size_t block = per_home + (h < remainder ? 1 : 0);
+        for (std::size_t i = 0; i < block; ++i)
+            space.push_back(Pte{.pfn = nextPfn_[lane]++, .home = home});
         homeCounts_[lane] += block;
     }
-    cursor += pages;
     return handle;
 }
 
-void
-GlobalPageTable::growHomeLanes(TileId tile)
+const Pte *
+GlobalPageTable::entry(Vpn key) const
 {
-    hdpat_fatal_if(tile < 0, "negative home tile " << tile);
-    const std::size_t need = static_cast<std::size_t>(tile) + 1;
-    if (homeCounts_.size() < need) {
-        homeCounts_.resize(need, 0);
-        nextPfn_.resize(need, 0);
-    }
+    const Asid asid = asidOfKey(key);
+    // Unsigned: a VPN below the first one wraps past every bound.
+    const Vpn offset = vpnOfKey(key) - kFirstVpn;
+    return asid < spaces_.size() && offset < spaces_[asid].size()
+               ? &spaces_[asid][offset]
+               : nullptr;
 }
 
 bool
 GlobalPageTable::unmap(Vpn vpn)
 {
-    auto it = table_.find(vpn);
-    if (it == table_.end())
+    Pte *pte = translateMutable(vpn);
+    if (!pte)
         return false;
-    const std::size_t lane = static_cast<std::size_t>(it->second.home);
-    if (lane < homeCounts_.size() && homeCounts_[lane] > 0)
-        --homeCounts_[lane];
-    lastHome_[vpn] = it->second.home;
+    --homeCounts_[static_cast<std::size_t>(pte->home)];
+    pte->pfn = kInvalidPfn;
     ++mutationEpoch_;
-    table_.erase(it);
     return true;
 }
 
 const Pte *
 GlobalPageTable::remap(Vpn vpn)
 {
-    if (table_.count(vpn))
-        return nullptr;
-    const auto last = lastHome_.find(vpn);
-    if (last == lastHome_.end())
+    Pte *pte = const_cast<Pte *>(entry(vpn));
+    if (!pte || pte->pfn != kInvalidPfn)
         return nullptr;
     // Same home, fresh PFN: the per-home PFN lane only ever bumps, so
     // the remapped page's PFN is distinct from every PFN the key ever
     // had -- stale cached translations can be detected by comparison.
-    const TileId home = last->second;
-    growHomeLanes(home);
-    const std::size_t lane = static_cast<std::size_t>(home);
-    Pte pte;
-    pte.home = home;
-    pte.pfn = nextPfn_[lane]++;
+    const std::size_t lane = static_cast<std::size_t>(pte->home);
+    *pte = Pte{.pfn = nextPfn_[lane]++, .home = pte->home};
     ++homeCounts_[lane];
-    return &table_.emplace(vpn, pte).first->second;
+    return pte;
 }
 
 TileId
 GlobalPageTable::lastHomeOf(Vpn vpn) const
 {
-    const Pte *pte = translate(vpn);
-    if (pte)
-        return pte->home;
-    const auto it = lastHome_.find(vpn);
-    return it == lastHome_.end() ? kInvalidTile : it->second;
+    const Pte *pte = entry(vpn);
+    return pte ? pte->home : kInvalidTile;
 }
 
 const Pte *
 GlobalPageTable::translate(Vpn vpn) const
 {
-    auto it = table_.find(vpn);
-    return it == table_.end() ? nullptr : &it->second;
+    const Pte *pte = entry(vpn);
+    return pte && pte->pfn != kInvalidPfn ? pte : nullptr;
 }
 
 Pte *
 GlobalPageTable::translateMutable(Vpn vpn)
 {
-    auto it = table_.find(vpn);
-    return it == table_.end() ? nullptr : &it->second;
+    return const_cast<Pte *>(translate(vpn));
 }
 
 TileId
@@ -145,8 +128,12 @@ void
 GlobalPageTable::forEachPage(
     const std::function<void(Vpn, const Pte &)> &fn) const
 {
-    for (const auto &[vpn, pte] : table_)
-        fn(vpn, pte);
+    for (Asid asid = 0; asid < spaces_.size(); ++asid) {
+        for (Vpn i = 0; i < spaces_[asid].size(); ++i) {
+            if (spaces_[asid][i].pfn != kInvalidPfn)
+                fn(asidKey(asid, kFirstVpn + i), spaces_[asid][i]);
+        }
+    }
 }
 
 } // namespace hdpat

@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -65,7 +65,8 @@ class GlobalPageTable
      * equal blocks (the last home absorbs the remainder). Mappings are
      * keyed under the active ASID (asidKey); the returned buffer's VAs
      * are raw (untagged), and each ASID's VPN cursor starts at the same
-     * base, so every tenant sees an identical VA layout.
+     * base, so every tenant sees an identical VA layout. May move the
+     * active ASID's entries: PTE pointers from earlier lookups dangle.
      */
     BufferHandle allocate(std::size_t bytes, std::span<const TileId> homes);
 
@@ -80,8 +81,8 @@ class GlobalPageTable
     /**
      * Remove a mapping (memory free). The caller is responsible for
      * shooting down cached copies (System::shootdown does both). Bumps
-     * the mutation epoch and records the page's home so remap() can
-     * re-establish the mapping on the same HBM.
+     * the mutation epoch; the entry keeps the page's home so remap()
+     * can re-establish the mapping on the same HBM.
      * @return true when the VPN was mapped.
      */
     bool unmap(Vpn vpn);
@@ -122,42 +123,44 @@ class GlobalPageTable
     TileId homeOf(Vpn vpn) const;
 
     /** Total mapped pages. */
-    std::size_t size() const { return table_.size(); }
+    std::size_t size() const
+    {
+        return std::accumulate(homeCounts_.begin(), homeCounts_.end(),
+                               std::size_t{0});
+    }
 
     /** Number of pages homed on @p tile. */
     std::size_t pagesHomedOn(TileId tile) const;
 
-    /** Visit every mapping (unordered). */
+    /**
+     * Visit every mapping in ascending key order (ASID-major): the
+     * order cuckoo filters are seeded and churn candidates drawn in.
+     */
     void forEachPage(const std::function<void(Vpn, const Pte &)> &fn) const;
 
   private:
-    /** Grow the per-home lanes to cover @p tile. */
-    void growHomeLanes(TileId tile);
+    /** First VPN of every address space (the null page stays unmapped). */
+    static constexpr Vpn kFirstVpn = 0x100;
+
+    /** Entry of @p key, mapped or not; nullptr when never allocated. */
+    const Pte *entry(Vpn key) const;
 
     unsigned pageShift_;
     /**
-     * VPN -> PTE. Deliberately kept an unordered_map even though VPNs
-     * are bump-allocated: forEachPage() iterates it, and that order
-     * seeds the per-home cuckoo filters at workload load -- changing
-     * the container would reorder those inserts and perturb filter
-     * contents (and thus simulated timing) for no modeled reason.
+     * spaces_[asid][vpn - kFirstVpn]: VPNs are bump-allocated, so each
+     * space's size is its cursor. An unmapped entry has pfn ==
+     * kInvalidPfn and keeps its home for remap() and lastHomeOf().
      */
-    std::unordered_map<Vpn, Pte> table_;
-    /** Next unallocated VPN (bump allocator, starts above null page). */
-    Vpn nextVpn_ = 0x100;
+    std::vector<std::vector<Pte>> spaces_;
     /** ASID tagged into newly allocated keys (0 = identity). */
     Asid activeAsid_ = 0;
-    /** Per-ASID VPN cursors for ASIDs > 0 (each starts at 0x100). */
-    std::unordered_map<Asid, Vpn> asidCursors_;
-    /** Home GPM of every unmapped key, for remap() and invalidation. */
-    std::unordered_map<Vpn, TileId> lastHome_;
     /** Count of unmaps ever (0 = install gates may be skipped). */
     std::uint64_t mutationEpoch_ = 0;
     /**
      * Per-home lanes indexed by TileId (tiles are small dense ids):
      * pages homed there, and the next free PFN. allocate() bumps both
-     * once per page, which made the old per-page unordered_map probes
-     * a fixture of the host profile.
+     * once per page, which made per-page hash-map probes a fixture of
+     * the host profile.
      */
     std::vector<std::size_t> homeCounts_;
     std::vector<Pfn> nextPfn_;

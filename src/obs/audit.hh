@@ -253,8 +253,11 @@ class Auditor
     std::map<TileId, TlbBalance> tlb_;
     std::map<TileId, std::function<std::size_t()>> tlbOccupancy_;
     std::vector<QueueProbe> queues_;
-    /** Open shootdown rounds (key -> outstanding acks). */
-    std::unordered_map<Vpn, ShootdownRound> openRounds_;
+    /**
+     * Open shootdown rounds (key -> outstanding acks), ordered so
+     * never-closed violations come out in ascending key order.
+     */
+    std::map<Vpn, ShootdownRound> openRounds_;
     std::uint64_t shootdownRounds_ = 0;
     std::uint64_t shootdownRoundsClosed_ = 0;
     std::uint64_t acksTotal_ = 0;

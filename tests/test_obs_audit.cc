@@ -235,6 +235,31 @@ TEST(AuditorTest, CatchesRoundNeverClosed)
     EXPECT_EQ(auditor.shootdownRoundsClosed(), 0u);
 }
 
+TEST(AuditorTest, NeverClosedRoundsReportInAscendingKeyOrder)
+{
+    // Two rounds left open, opened in descending and then in ascending
+    // key order: either way the report lists them by ascending key,
+    // independent of container iteration order.
+    for (const bool descending : {true, false}) {
+        Auditor auditor;
+        const Vpn first = descending ? 0x90 : 0x80;
+        const Vpn second = descending ? 0x80 : 0x90;
+        auditor.shootdownIssued(first, 2, 100);
+        auditor.shootdownIssued(second, 3, 110);
+        auditor.invalidationAcked(first, 4, 120);
+
+        const Auditor::Report report = auditor.finalize();
+        ASSERT_FALSE(report.ok);
+        ASSERT_EQ(report.violations.size(), 2u) << joined(report);
+        EXPECT_NE(report.violations[0].find("vpn 0x80 never closed"),
+                  std::string::npos)
+            << "descending=" << descending << "\n" << joined(report);
+        EXPECT_NE(report.violations[1].find("vpn 0x90 never closed"),
+                  std::string::npos)
+            << "descending=" << descending << "\n" << joined(report);
+    }
+}
+
 TEST(AuditorTest, ZeroTargetRoundClosesImmediately)
 {
     // An empty wafer (no holder tiles) is a degenerate but legal round.

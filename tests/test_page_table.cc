@@ -6,6 +6,7 @@
 
 #include <array>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,127 @@ TEST(PageTableTest, PageShiftControlsGranularity)
     EXPECT_EQ(pt.vpnOf(buf.baseVa + 65535), pt.vpnOf(buf.baseVa));
     EXPECT_EQ(pt.vpnOf(buf.baseVa + 65536),
               pt.vpnOf(buf.baseVa) + 1);
+}
+
+TEST(PageTableTest, ForEachPageVisitsKeysInAscendingOrder)
+{
+    // Three address spaces populated out of ASID order, several
+    // buffers each: the visit order is still ascending key order,
+    // ASID-major.
+    GlobalPageTable pt(12);
+    const std::array<TileId, 3> homes = {5, 1, 3};
+    for (const Asid asid : {Asid{2}, Asid{0}, Asid{1}}) {
+        pt.setActiveAsid(asid);
+        pt.allocate(40 * pt.pageBytes(), homes);
+        pt.allocate(7 * pt.pageBytes(), homes);
+    }
+    pt.setActiveAsid(0);
+
+    std::vector<Vpn> keys;
+    pt.forEachPage([&](Vpn key, const Pte &) { keys.push_back(key); });
+    ASSERT_EQ(keys.size(), pt.size());
+    ASSERT_EQ(keys.size(), 3u * 47u);
+    for (std::size_t i = 1; i < keys.size(); ++i)
+        EXPECT_LT(keys[i - 1], keys[i]) << "at visit " << i;
+    EXPECT_EQ(asidOfKey(keys.front()), 0u);
+    EXPECT_EQ(asidOfKey(keys.back()), 2u);
+}
+
+TEST(PageTableTest, KeysOutsideAllocatedRangesAreUnmapped)
+{
+    // ASIDs 0 and 2 allocate; ASID 1 never does.
+    GlobalPageTable pt(12);
+    const std::array<TileId, 2> homes = {4, 6};
+    const BufferHandle buf = pt.allocate(10 * pt.pageBytes(), homes);
+    pt.setActiveAsid(2);
+    pt.allocate(10 * pt.pageBytes(), homes);
+    pt.setActiveAsid(0);
+
+    const Vpn first = pt.vpnOf(buf.baseVa);
+    ASSERT_NE(pt.translate(first), nullptr);
+    ASSERT_NE(pt.translate(asidKey(2, first)), nullptr);
+
+    const Vpn edges[] = {
+        0,                            // null page
+        first - 1,                    // just below the first VPN
+        asidKey(2, first - 1),        // ditto, tagged
+        first + buf.numPages,         // one past the cursor
+        asidKey(2, first + buf.numPages),
+        asidKey(1, first),            // ASID with no allocations
+        asidKey(3, first),            // above every allocated ASID
+        asidKey(0xffff, first),
+    };
+    for (const Vpn key : edges) {
+        EXPECT_EQ(pt.translate(key), nullptr) << std::hex << key;
+        EXPECT_EQ(pt.translateMutable(key), nullptr) << std::hex << key;
+        EXPECT_EQ(pt.homeOf(key), kInvalidTile) << std::hex << key;
+        EXPECT_EQ(pt.lastHomeOf(key), kInvalidTile) << std::hex << key;
+        EXPECT_EQ(pt.remap(key), nullptr) << std::hex << key;
+        EXPECT_FALSE(pt.unmap(key)) << std::hex << key;
+    }
+    EXPECT_EQ(pt.mutationEpoch(), 0u);
+    EXPECT_EQ(pt.size(), 20u);
+}
+
+TEST(PageTableTest, RemapOfMappedKeyReturnsNull)
+{
+    GlobalPageTable pt(12);
+    const std::array<TileId, 1> homes = {2};
+    const BufferHandle buf = pt.allocate(4 * pt.pageBytes(), homes);
+    const Vpn vpn = pt.vpnOf(buf.baseVa) + 1;
+    const Pfn pfn = pt.translate(vpn)->pfn;
+
+    EXPECT_EQ(pt.remap(vpn), nullptr);
+    ASSERT_NE(pt.translate(vpn), nullptr);
+    EXPECT_EQ(pt.translate(vpn)->pfn, pfn);
+    EXPECT_EQ(pt.pagesHomedOn(2), 4u);
+
+    // A second remap after the first restores the mapping is refused
+    // too.
+    ASSERT_TRUE(pt.unmap(vpn));
+    ASSERT_NE(pt.remap(vpn), nullptr);
+    EXPECT_EQ(pt.remap(vpn), nullptr);
+}
+
+TEST(PageTableTest, UnmapRemapKeepsCountsAndHome)
+{
+    GlobalPageTable pt(12);
+    const std::array<TileId, 2> homes = {3, 8};
+    const BufferHandle buf = pt.allocate(6 * pt.pageBytes(), homes);
+    const Vpn vpn = pt.vpnOf(buf.baseVa) + 4; // Homed on tile 8.
+    Pte *pte = pt.translateMutable(vpn);
+    ASSERT_NE(pte, nullptr);
+    ASSERT_EQ(pte->home, 8);
+    const Pfn old_pfn = pte->pfn;
+    pte->accessCount = 5;
+
+    ASSERT_TRUE(pt.unmap(vpn));
+    EXPECT_FALSE(pt.unmap(vpn));
+    EXPECT_EQ(pt.mutationEpoch(), 1u);
+    EXPECT_EQ(pt.translate(vpn), nullptr);
+    EXPECT_EQ(pt.homeOf(vpn), kInvalidTile);
+    EXPECT_EQ(pt.lastHomeOf(vpn), 8);
+    EXPECT_EQ(pt.size(), 5u);
+    EXPECT_EQ(pt.pagesHomedOn(3), 3u);
+    EXPECT_EQ(pt.pagesHomedOn(8), 2u);
+
+    std::size_t visited = 0;
+    pt.forEachPage([&](Vpn key, const Pte &) {
+        EXPECT_NE(key, vpn);
+        ++visited;
+    });
+    EXPECT_EQ(visited, 5u);
+
+    const Pte *fresh = pt.remap(vpn);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_EQ(fresh->home, 8);
+    EXPECT_NE(fresh->pfn, old_pfn);
+    EXPECT_EQ(fresh->accessCount, 0u);
+    EXPECT_EQ(pt.translate(vpn), fresh);
+    EXPECT_EQ(pt.size(), 6u);
+    EXPECT_EQ(pt.pagesHomedOn(3), 3u);
+    EXPECT_EQ(pt.pagesHomedOn(8), 3u);
+    EXPECT_EQ(pt.mutationEpoch(), 1u);
 }
 
 TEST(PageTableTest, EmptyAllocationsAreFatal)
