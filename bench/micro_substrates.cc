@@ -15,6 +15,7 @@
 #include "iommu/redirection_table.hh"
 #include "mem/cuckoo_filter.hh"
 #include "mem/page_table.hh"
+#include "mem/set_assoc_cache.hh"
 #include "mem/tlb.hh"
 #include "noc/network.hh"
 #include "sim/engine.hh"
@@ -208,6 +209,47 @@ BM_TlbProbeSingle64(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_TlbProbeSingle64);
+
+/**
+ * Wafer-shaped data-cache stream: 84 MI100-geometry L2 data caches
+ * (4 MB, 16-way; one per GPM tile of the 12x7 wafer) fed a seeded
+ * random line stream round-robin, the way a long wafer run strides
+ * across tiles. The line pool is twice one cache's capacity, so the
+ * warmed caches both hit and evict; host ns per access is what the
+ * tag store's footprint costs.
+ */
+void
+BM_DataCacheWafer(benchmark::State &state)
+{
+    constexpr std::size_t kCaches = 84;
+    constexpr std::size_t kBytes = 4u << 20;
+    constexpr std::size_t kLine = 64;
+    constexpr std::size_t kStream = 1u << 20;
+    std::vector<SetAssocCache> caches;
+    caches.reserve(kCaches);
+    for (std::size_t c = 0; c < kCaches; ++c)
+        caches.emplace_back(kBytes, 16, kLine);
+    Rng rng(0x5eed);
+    std::vector<Addr> stream(kStream);
+    for (Addr &a : stream)
+        a = rng.uniformInt(2 * kBytes / kLine) * kLine;
+    const auto step = [&](std::size_t i) {
+        return caches[i % kCaches].access(stream[i % kStream]);
+    };
+    // Warm every cache with two passes of its capacity.
+    for (std::size_t i = 0; i < 2 * kCaches * (kBytes / kLine); ++i)
+        step(i);
+    std::size_t i = 0;
+    std::uint64_t hits = 0;
+    for (auto _ : state) {
+        (void)_;
+        hits += step(i++);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_rate"] =
+        static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DataCacheWafer);
 
 void
 BM_RedirectionTableLookup(benchmark::State &state)

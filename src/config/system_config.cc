@@ -82,6 +82,21 @@ SystemConfig::validationErrors() const
     if (iommuTlbMshrs == 0)
         bad("iommuTlbMshrs must be >= 1 (0 would disable the bound)");
 
+    // ---- Data cache -----------------------------------------------------
+    // SetAssocCache keeps a one-byte fill count per set, so 255 ways is
+    // the widest set it can hold.
+    const bool line_ok =
+        cacheLineBytes != 0 && (cacheLineBytes & (cacheLineBytes - 1)) == 0;
+    const bool ways_ok = l2CacheWays >= 1 && l2CacheWays <= 255;
+    if (!line_ok)
+        bad("cacheLineBytes must be a power of two (got ", cacheLineBytes,
+            ")");
+    if (!ways_ok)
+        bad("l2CacheWays must be in [1, 255] (got ", l2CacheWays, ")");
+    if (line_ok && ways_ok && l2CacheBytes / cacheLineBytes / l2CacheWays == 0)
+        bad("l2CacheBytes ", l2CacheBytes, " holds no set of ", l2CacheWays,
+            " x ", cacheLineBytes, "-byte lines");
+
     // ---- Bandwidth models ----------------------------------------------
     if (!(noc.bytesPerTick > 0.0))
         bad("noc.bytesPerTick must be positive (got ", noc.bytesPerTick,

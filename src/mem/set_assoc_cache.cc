@@ -1,5 +1,6 @@
 #include "mem/set_assoc_cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -14,16 +15,16 @@ SetAssocCache::SetAssocCache(std::size_t size_bytes, std::size_t num_ways,
 {
     hdpat_fatal_if(line_bytes == 0 || (line_bytes & (line_bytes - 1)),
                    "cache line size must be a power of two");
-    hdpat_fatal_if(num_ways == 0, "cache needs at least one way");
+    hdpat_fatal_if(num_ways == 0 || num_ways > 255,
+                   "cache ways must be in [1, 255] (got " << num_ways
+                                                          << ")");
     lineShift_ = static_cast<unsigned>(std::bit_width(line_bytes) - 1);
     const std::size_t total_lines = size_bytes / line_bytes;
     numSets_ = total_lines / num_ways;
     hdpat_fatal_if(numSets_ == 0,
                    "cache too small: " << size_bytes << " bytes");
-    const std::size_t n = numSets_ * numWays_;
-    tags_.reset(new Addr[n]);
-    lru_.reset(new std::uint64_t[n]);
-    valid_.reset(new std::uint8_t[n]());
+    tags_.reset(new Addr[numSets_ * numWays_]);
+    fill_.reset(new std::uint8_t[numSets_]());
 }
 
 std::size_t
@@ -40,60 +41,41 @@ SetAssocCache::access(Addr addr)
 {
     ++stats_.accesses;
     const Addr line_addr = addr >> lineShift_;
-    const std::size_t base = setIndex(line_addr) * numWays_;
+    const std::size_t set = setIndex(line_addr);
+    Addr *const tags = &tags_[set * numWays_];
+    std::uint8_t &fill = fill_[set];
 
-    // First-match hit scan over the dense tag/valid lanes; a line
-    // appears in at most one way, so the early exit is exact.
-    std::size_t hit = ~std::size_t{0};
-    for (std::size_t w = 0; w < numWays_; ++w) {
-        const std::size_t i = base + w;
-        if (valid_[i] && tags_[i] == line_addr) {
-            hit = i;
-            break;
-        }
-    }
-    if (hit != ~std::size_t{0}) {
+    std::size_t k = 0;
+    while (k < fill && tags[k] != line_addr)
+        ++k;
+    const bool hit = k < fill;
+    if (hit)
         ++stats_.hits;
-        lru_[hit] = ++lruClock_;
-        return true;
-    }
+    else if (fill < numWays_)
+        ++fill; // k == old fill: the shift below grows the set by one.
+    else
+        k = fill - 1; // Full: the shift below drops the LRU tag.
 
-    // Victim: the first invalid way, else the strictly-least-recently
-    // used way (ties keep the lowest way, matching the AoS scan).
-    std::size_t victim = ~std::size_t{0};
-    for (std::size_t w = 0; w < numWays_; ++w) {
-        const std::size_t i = base + w;
-        if (!valid_[i]) {
-            victim = i;
-            break;
-        }
-        if (victim == ~std::size_t{0} || lru_[i] < lru_[victim])
-            victim = i;
-    }
-
-    tags_[victim] = line_addr;
-    valid_[victim] = 1;
-    lru_[victim] = ++lruClock_;
-    return false;
+    // Move the line to the front; [0, k) slides one slot back.
+    std::copy_backward(tags, tags + k, tags + k + 1);
+    tags[0] = line_addr;
+    return hit;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
     const Addr line_addr = addr >> lineShift_;
-    const std::size_t base = setIndex(line_addr) * numWays_;
-    for (std::size_t w = 0; w < numWays_; ++w) {
-        const std::size_t i = base + w;
-        if (valid_[i] && tags_[i] == line_addr)
-            return true;
-    }
-    return false;
+    const std::size_t set = setIndex(line_addr);
+    const Addr *const tags = &tags_[set * numWays_];
+    const Addr *const end = tags + fill_[set];
+    return std::find(tags, end, line_addr) != end;
 }
 
 void
 SetAssocCache::flush()
 {
-    std::memset(valid_.get(), 0, numSets_ * numWays_);
+    std::memset(fill_.get(), 0, numSets_);
 }
 
 } // namespace hdpat

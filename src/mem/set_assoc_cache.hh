@@ -4,13 +4,19 @@
  * (the unified L2 of Fig 1(b)); it decides whether a memory operation
  * pays HBM / remote-NoC cost after translation.
  *
- * Storage is structure-of-arrays (tag / valid / LRU lanes): a probe
- * reads only the tag and valid lanes, and construction zeroes only
- * the one-byte valid lane. The latter matters far more than it looks:
- * a wafer sweep constructs one multi-megabyte data cache per tile per
- * run, while a short run touches only a few hundred of its lines --
- * value-initializing every 24-byte line struct was the single largest
- * entry in the host profile before this layout.
+ * Each set keeps its tags in recency order, most recent first, plus a
+ * one-byte fill count: a hit moves its tag to the front, a miss
+ * inserts at the front and, in a full set, drops the last tag (the
+ * LRU line). This is exact LRU with no stamp or valid lanes: the
+ * victim of a stamp-based LRU is unique and always the last tag in
+ * recency order, and which slot a line sits in is invisible outside
+ * the class, so every hit/miss sequence is unchanged.
+ *
+ * Only the fill lane is zeroed at construction; tags past a set's
+ * fill count are never read, so the tag lane is first-touched on
+ * fill. That matters: a wafer sweep constructs one half-megabyte tag
+ * store (MI100 geometry) per tile per run, while a short run touches
+ * only a few hundred of its lines.
  */
 
 #ifndef HDPAT_MEM_SET_ASSOC_CACHE_HH
@@ -39,7 +45,8 @@ class SetAssocCache
 
     /**
      * @param size_bytes Total capacity.
-     * @param num_ways Associativity.
+     * @param num_ways Associativity, at most 255 (the fill lane's
+     *                 range).
      * @param line_bytes Cache line size (power of two).
      */
     SetAssocCache(std::size_t size_bytes, std::size_t num_ways,
@@ -74,14 +81,11 @@ class SetAssocCache
     std::size_t lineBytes_;
     unsigned lineShift_;
     /**
-     * SoA lanes, flat: set s occupies [s*ways, (s+1)*ways). Only
-     * valid_ is zeroed at construction; tags_/lru_ are guarded by the
-     * valid bit and first-touched on fill.
+     * Set s owns tags_[s*ways, (s+1)*ways), of which the first fill_[s]
+     * are valid, most recently used first.
      */
     std::unique_ptr<Addr[]> tags_;
-    std::unique_ptr<std::uint64_t[]> lru_;
-    std::unique_ptr<std::uint8_t[]> valid_;
-    std::uint64_t lruClock_ = 0;
+    std::unique_ptr<std::uint8_t[]> fill_;
     Stats stats_;
 };
 

@@ -109,6 +109,47 @@ TEST(SystemConfigTest, ValidationErrorsNameTheField)
     EXPECT_TRUE(mentions("lastLevelTlb.ways"));
 }
 
+TEST(SystemConfigTest, DataCacheLineMustBePowerOfTwo)
+{
+    SystemConfig cfg;
+    cfg.cacheLineBytes = 48;
+    const auto errors = cfg.validationErrors();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("cacheLineBytes"), std::string::npos)
+        << errors[0];
+    cfg.cacheLineBytes = 0;
+    EXPECT_EQ(cfg.validationErrors().size(), 1u);
+}
+
+TEST(SystemConfigTest, DataCacheWaysFitTheFillLane)
+{
+    SystemConfig cfg;
+    cfg.l2CacheWays = 0;
+    auto errors = cfg.validationErrors();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("l2CacheWays"), std::string::npos)
+        << errors[0];
+    cfg.l2CacheWays = 256;
+    errors = cfg.validationErrors();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("l2CacheWays"), std::string::npos)
+        << errors[0];
+    cfg.l2CacheWays = 255;
+    EXPECT_TRUE(cfg.validationErrors().empty());
+}
+
+TEST(SystemConfigTest, DataCacheNeedsOneSet)
+{
+    SystemConfig cfg;
+    cfg.l2CacheBytes = 16 * 64 - 1; // One line short of a 16-way set.
+    const auto errors = cfg.validationErrors();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("l2CacheBytes"), std::string::npos)
+        << errors[0];
+    cfg.l2CacheBytes = 16 * 64;
+    EXPECT_TRUE(cfg.validationErrors().empty());
+}
+
 TEST(SystemConfigTest, SingleTileWaferIsRejected)
 {
     SystemConfig cfg;
