@@ -7,8 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "hdpat/cluster_map.hh"
@@ -165,50 +165,53 @@ BM_TlbProbeWafer(benchmark::State &state)
 }
 BENCHMARK(BM_TlbProbeWafer);
 
-/** Batched admission probe: 64 VPNs per probeMany() call (prefetch
- *  pass + scan pass), the shape the GPM issue loop uses. Compare
- *  against BM_TlbProbeSingle64 for the batching win. */
+/**
+ * Shootdown fan-out of the multi-tenant churn run: one broadcast
+ * reaches the MI100-geometry TLB stack of each of the 48 GPMs of the
+ * 7x7 wafer (L1 1x32, L2 64x32, last-level 64x16), and every TLB
+ * invalidates the VPN. The TLBs are full and most invalidated VPNs
+ * are absent, so the figure is mostly the miss probe of a full set.
+ * A VPN that was present is put back, which keeps the hit share
+ * steady. One item is one single-TLB invalidate.
+ */
 void
-BM_TlbProbeMany64(benchmark::State &state)
+BM_TlbShootdownWafer(benchmark::State &state)
 {
-    Tlb tlb(64, 32);
-    for (Vpn v = 0; v < 2048; ++v)
-        tlb.insert(v, v);
-    std::array<Vpn, 64> batch;
-    Vpn probe = 0;
+    constexpr std::size_t kGpms = 48;
+    constexpr Vpn kResident = 4096;
+    constexpr Vpn kSpace = 1u << 16;
+    std::vector<Tlb> tlbs;
+    tlbs.reserve(3 * kGpms);
+    for (std::size_t g = 0; g < kGpms; ++g) {
+        tlbs.emplace_back(1, 32);
+        tlbs.emplace_back(64, 32);
+        tlbs.emplace_back(64, 16);
+    }
+    for (Vpn v = 0; v < kResident; ++v)
+        for (Tlb &tlb : tlbs)
+            tlb.insert(v, v);
+    Vpn vpn = 0;
+    std::size_t next = 0;
+    std::uint64_t hits = 0;
     for (auto _ : state) {
         (void)_;
-        for (Vpn &v : batch) {
-            v = probe;
-            probe = (probe + 13) % 4096;
+        Tlb &tlb = tlbs[next];
+        const std::optional<TlbEntry> removed = tlb.invalidate(vpn);
+        benchmark::DoNotOptimize(removed);
+        if (removed) {
+            ++hits;
+            tlb.insert(vpn, vpn);
         }
-        benchmark::DoNotOptimize(tlb.probeMany(batch));
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_TlbProbeMany64);
-
-/** The same 64 probes one VPN at a time (peek(): side-effect-free,
- *  like probeMany), i.e. the pre-batching admission pattern. */
-void
-BM_TlbProbeSingle64(benchmark::State &state)
-{
-    Tlb tlb(64, 32);
-    for (Vpn v = 0; v < 2048; ++v)
-        tlb.insert(v, v);
-    Vpn probe = 0;
-    for (auto _ : state) {
-        (void)_;
-        std::uint64_t hits = 0;
-        for (int i = 0; i < 64; ++i) {
-            hits = (hits << 1) | (tlb.peek(probe).has_value() ? 1 : 0);
-            probe = (probe + 13) % 4096;
+        if (++next == tlbs.size()) {
+            next = 0;
+            vpn = (vpn + 7919) % kSpace;
         }
-        benchmark::DoNotOptimize(hits);
     }
-    state.SetItemsProcessed(state.iterations() * 64);
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_rate"] =
+        static_cast<double>(hits) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_TlbProbeSingle64);
+BENCHMARK(BM_TlbShootdownWafer);
 
 /**
  * Wafer-shaped data-cache stream: 84 MI100-geometry L2 data caches

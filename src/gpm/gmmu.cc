@@ -34,7 +34,7 @@ Gmmu::tryStart()
 {
     // Batched probe warm-up: prefetch the PWC sets of every walk this
     // round can dispatch (bounded by free walkers) before starting
-    // them one by one. Non-architectural, like Tlb::probeMany.
+    // them one by one. A prefetch changes no simulated state.
     if (pwc_.enabled()) {
         const std::size_t starts = std::min<std::size_t>(
             static_cast<std::size_t>(freeWalkers_), queue_.size());

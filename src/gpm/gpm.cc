@@ -26,10 +26,6 @@ Gpm::Gpm(TileId tile, Engine &engine, Network &net, GlobalPageTable &pt,
       issueRate_(static_cast<double>(cfg.issueWidth)),
       issueWindow_(cfg.maxOutstandingOps)
 {
-    // A cycle's gather can hold at most the window's worth of ops;
-    // pre-size so steady-state issue never allocates.
-    issueBatch_.reserve(static_cast<std::size_t>(issueWindow_));
-    issueVpns_.reserve(static_cast<std::size_t>(issueWindow_));
 }
 
 void
@@ -37,11 +33,8 @@ Gpm::setIssueParams(double ops_per_cycle, int max_outstanding)
 {
     if (ops_per_cycle > 0.0)
         issueRate_ = ops_per_cycle;
-    if (max_outstanding > 0) {
+    if (max_outstanding > 0)
         issueWindow_ = max_outstanding;
-        issueBatch_.reserve(static_cast<std::size_t>(issueWindow_));
-        issueVpns_.reserve(static_cast<std::size_t>(issueWindow_));
-    }
 }
 
 void
@@ -272,33 +265,20 @@ Gpm::tryIssue()
     if (nextIssueTime_ < now)
         nextIssueTime_ = now;
 
-    // Gather every op whose slot falls within the current cycle, then
-    // prefetch the L1 TLB sets they will probe, then issue. The
-    // address stream is independent of simulator state and the probe
-    // is non-architectural, so splitting gather from issue reorders
-    // nothing observable -- it only lets the translate loop below run
-    // against warm tag arrays instead of paying a cold miss per op.
-    issueBatch_.clear();
-    issueVpns_.clear();
+    // Issue every op whose slot falls within the current cycle. An op
+    // only ever completes in a later event, so the window count below
+    // covers every op issued here.
     while (outstanding_ < issueWindow_ && nextIssueTime_ < now + 1.0) {
         std::optional<Addr> va = stream_->next();
         if (!va) {
             streamDone_ = true;
             break;
         }
-        // Reserve the op's window slot at gather time so an
-        // end-of-stream checkFinished() below cannot observe the
-        // batched ops as already drained.
         ++outstanding_;
         ++stats_.opsIssued;
         nextIssueTime_ += 1.0 / issueRate_;
-        issueBatch_.push_back(*va);
-        issueVpns_.push_back(keyOf(*va));
+        beginOp(*va, keyOf(*va));
     }
-    if (issueVpns_.size() > 1)
-        l1Tlb_.probeMany(issueVpns_);
-    for (std::size_t i = 0; i < issueBatch_.size(); ++i)
-        beginOp(issueBatch_[i], issueVpns_[i]);
     if (streamDone_) {
         checkFinished();
         return;
@@ -543,9 +523,29 @@ Gpm::insertLastLevel(Vpn vpn, Pfn pfn, bool remote, bool prefetched)
 // Data path
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * The data-cache address of @p va under @p key. Tenants see the same
+ * VA layout, so cache tags are scrambled by ASID to keep their working
+ * sets from aliasing; XOR with zero (ASID 0) is the identity.
+ */
+Addr
+dataCacheAddr(Addr va, Vpn key)
+{
+    return va ^ (static_cast<Addr>(asidOfKey(key)) << 48);
+}
+
+} // namespace
+
 void
 Gpm::dataAccess(Addr va, Vpn key, Tick when)
 {
+    // Start loading the set now: the access runs at least an L1 TLB
+    // latency later, after other host events, by which time the tags
+    // are in the host cache. A prefetch changes no simulated state.
+    dataCache_.prefetchSet(dataCacheAddr(va, key));
     // Run the access at its start time: link and DRAM busy-until state
     // must only ever be advanced at the current tick, or one packet
     // reserved far in the future would stall every later sender.
@@ -557,11 +557,7 @@ Gpm::dataAccessNow(Addr va, Vpn key)
 {
     const Tick now = engine_.now();
     const Vpn vpn = key;
-    // Tenants see the same VA layout, so cache tags are scrambled by
-    // ASID to keep their working sets from aliasing; XOR with zero
-    // (ASID 0) is the identity.
-    if (dataCache_.access(
-            va ^ (static_cast<Addr>(asidOfKey(key)) << 48))) {
+    if (dataCache_.access(dataCacheAddr(va, key))) {
         ++stats_.dataCacheHits;
         trace(vpn, SpanEvent::DataAccess, tile_);
         completeOpAt(now + cfg_.dataHitLatency, vpn);

@@ -407,14 +407,6 @@ class Gpm : public PeerEndpoint
     /** Fractional time the next op may issue at. */
     double nextIssueTime_ = 0.0;
     bool issueScheduled_ = false;
-    /**
-     * Scratch for tryIssue()'s gather phase: the cycle's issuable VAs
-     * and their VPNs, batched so the L1 TLB sets can be prefetched
-     * (Tlb::probeMany) before the ops translate one by one. Members
-     * (not locals) so steady-state issue never allocates.
-     */
-    std::vector<Addr> issueBatch_;
-    std::vector<Vpn> issueVpns_;
     std::function<void(TileId)> onFinished_;
 
     Stats stats_;

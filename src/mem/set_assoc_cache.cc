@@ -73,6 +73,19 @@ SetAssocCache::contains(Addr addr) const
 }
 
 void
+SetAssocCache::prefetchSet(Addr addr) const
+{
+    const std::size_t set = setIndex(addr >> lineShift_);
+    const Addr *const tags = &tags_[set * numWays_];
+    // One prefetch per 64 bytes of tags, plus the last tag: a set need
+    // not start on a host line, so it can straddle one more.
+    for (std::size_t w = 0; w < numWays_; w += 64 / sizeof(Addr))
+        __builtin_prefetch(&tags[w]);
+    __builtin_prefetch(&tags[numWays_ - 1]);
+    __builtin_prefetch(&fill_[set]);
+}
+
+void
 SetAssocCache::flush()
 {
     std::memset(fill_.get(), 0, numSets_);

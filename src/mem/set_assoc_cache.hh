@@ -58,6 +58,12 @@ class SetAssocCache
     /** Probe without filling or touching LRU. */
     bool contains(Addr addr) const;
 
+    /**
+     * Prefetch @p addr's set, its tags and fill byte, ahead of an
+     * access(); changes no state.
+     */
+    void prefetchSet(Addr addr) const;
+
     void flush();
 
     std::size_t numSets() const { return numSets_; }

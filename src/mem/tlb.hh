@@ -4,13 +4,18 @@
  * vector/scalar/instruction TLBs, the shared L2 TLB, the last-level
  * TLB / GMMU cache, and the conventional IOMMU-side TLB of Fig 19).
  *
- * Storage is structure-of-arrays: tags, payloads, LRU stamps, and
- * flags live in separate contiguous arrays so a set probe reads only
- * the tag/flag lanes (one or two cache lines for the common 4-8 way
- * configurations) instead of striding over 32-byte entry structs.
- * Only the flag array is zero-initialized at construction; tag and
- * payload lanes are first-touched on use, which keeps building the
- * thousands of TLBs of a wafer-scale sweep off the host profile.
+ * Storage is structure-of-arrays: fingerprint bytes, tags, payloads,
+ * LRU stamps and flags live in separate contiguous arrays. Each way
+ * has one fingerprint byte: 0 when the way is empty, else 0x80 | seven
+ * bits of a VPN hash. A probe compares the set's fingerprint bytes
+ * eight at a time (SWAR) and reads the tag lane only for the ways
+ * whose byte matches, so a miss on a full 32-way set reads the set's
+ * 32 fingerprint bytes (one host cache line, two if they straddle a
+ * line boundary) instead of five lines of tags and flags.
+ * Only the fingerprint lane is zero-initialized at construction; the
+ * other lanes are guarded by it and first-touched on insert, which
+ * keeps building the thousands of TLBs of a wafer-scale sweep off the
+ * host profile.
  */
 
 #ifndef HDPAT_MEM_TLB_HH
@@ -19,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "sim/types.hh"
 
@@ -43,9 +47,6 @@ struct TlbEntry
      * into the Fig 16 "proactive delivery" bucket.
      */
     bool prefetched = false;
-    bool valid = false;
-    /** Monotonic LRU stamp; larger = more recently used. */
-    std::uint64_t lruStamp = 0;
 };
 
 /**
@@ -86,25 +87,14 @@ class Tlb
     std::optional<Pfn> peek(Vpn vpn) const;
 
     /**
-     * Batched non-architectural probe: software-prefetches every
-     * probed set's tag/flag lanes, then scans them sequentially.
-     * Touches neither LRU state nor stats, so interleaving it with
-     * the architectural lookup stream cannot change simulated
-     * behavior -- admission paths use it to warm the host cache for
-     * a whole cycle's worth of VPNs before probing them one by one.
-     *
-     * @return Bitmask with bit i set when vpns[i] is present (at most
-     *         the first 64 VPNs are reported; extras are prefetched
-     *         and scanned but not reported).
+     * Prefetch the fingerprint line and the first tag line of @p vpn's
+     * set (no side effects).
      */
-    std::uint64_t probeMany(std::span<const Vpn> vpns) const;
-
-    /** Prefetch the tag/flag lanes of @p vpn's set (no side effects). */
     void prefetchSet(Vpn vpn) const
     {
-        const std::size_t base = setIndex(vpn) * numWays_;
+        const std::size_t base = probeOf(vpn).base;
+        __builtin_prefetch(&fps_[base]);
         __builtin_prefetch(&vpns_[base]);
-        __builtin_prefetch(&flags_[base]);
     }
 
     /**
@@ -131,10 +121,11 @@ class Tlb
     void
     forEachValid(Fn &&fn) const
     {
-        const std::size_t slots = numSets_ * numWays_;
-        for (std::size_t i = 0; i < slots; ++i)
-            if (flags_[i] & kValid)
-                fn(vpns_[i], pfns_[i]);
+        for (std::size_t base = 0; base < numSets_ * stride_;
+             base += stride_)
+            for (std::size_t i = base; i < base + numWays_; ++i)
+                if (fps_[i])
+                    fn(vpns_[i], pfns_[i]);
     }
 
     std::size_t numSets() const { return numSets_; }
@@ -155,25 +146,41 @@ class Tlb
 
   private:
     /** Flag lane bits. */
-    static constexpr std::uint8_t kValid = 1;
-    static constexpr std::uint8_t kRemote = 2;
-    static constexpr std::uint8_t kPrefetched = 4;
+    static constexpr std::uint8_t kRemote = 1;
+    static constexpr std::uint8_t kPrefetched = 2;
 
     static constexpr std::size_t kNone = ~std::size_t{0};
 
-    std::size_t setIndex(Vpn vpn) const;
+    /** Where @p vpn lives: its set's first slot and its fingerprint. */
+    struct Probe
+    {
+        std::size_t base;
+        /** 0x80 | 7 hash bits: never 0, the empty-way marker. */
+        std::uint8_t fp;
+    };
+
+    Probe probeOf(Vpn vpn) const;
     /** Slot index of @p vpn, or kNone. */
-    std::size_t findSlot(Vpn vpn) const;
+    std::size_t findSlot(Vpn vpn, const Probe &probe) const;
+    std::size_t findSlot(Vpn vpn) const
+    {
+        return findSlot(vpn, probeOf(vpn));
+    }
     /** Materialize slot @p i into a TlbEntry view. */
     TlbEntry entryAt(std::size_t i) const;
 
     std::size_t numSets_;
     std::size_t numWays_;
+    /** Slots per set: numWays_ rounded up to whole 8-byte SWAR words. */
+    std::size_t stride_;
     /**
-     * SoA lanes, flat: set s occupies [s*ways, (s+1)*ways). Only
-     * flags_ is zeroed at construction; the other lanes are
-     * guarded by the valid bit and first-touched on insert.
+     * SoA lanes, flat: set s occupies [s*stride, s*stride + ways); the
+     * padding slots' fingerprints stay 0 and their other lanes are
+     * never touched. Only fps_ is zeroed at construction; the other
+     * lanes, the remote/prefetched flags included, are guarded by a
+     * nonzero fingerprint and first-touched on insert.
      */
+    std::unique_ptr<std::uint8_t[]> fps_;
     std::unique_ptr<Vpn[]> vpns_;
     std::unique_ptr<Pfn[]> pfns_;
     std::unique_ptr<std::uint64_t[]> lru_;

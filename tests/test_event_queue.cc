@@ -259,7 +259,6 @@ TEST(EventQueueTest, ScheduleAndPopDoNotAllocate)
 TEST(SoaSubstrateAllocation, TlbSteadyStateDoesNotAllocate)
 {
     Tlb tlb(64, 8);
-    std::array<Vpn, 64> batch{};
 
     const std::uint64_t before = g_heap_allocations.load();
     std::uint64_t sink = 0;
@@ -269,9 +268,6 @@ TEST(SoaSubstrateAllocation, TlbSteadyStateDoesNotAllocate)
         sink += tlb.peek(v).value_or(0);
         if (v % 7 == 0)
             tlb.invalidate(v / 3);
-        batch[v % batch.size()] = v;
-        if (v % batch.size() == batch.size() - 1)
-            sink += tlb.probeMany(batch);
     }
     tlb.flush();
     const std::uint64_t after = g_heap_allocations.load();

@@ -209,6 +209,13 @@ TEST(SetAssocCacheTest, MatchesStampLruReference)
             for (std::size_t i = 0; i < n_accesses; ++i) {
                 const Addr addr = (0x4000 + rng.uniformInt(pool)) * kLine +
                                   rng.uniformInt(kLine);
+                // Prefetches (of this line and of an unrelated one)
+                // must change no hit or miss.
+                if (i % 2 == 0) {
+                    cache.prefetchSet(addr);
+                    cache.prefetchSet((0x4000 + rng.uniformInt(pool)) *
+                                      kLine);
+                }
                 const bool hit = ref.access(addr);
                 ASSERT_EQ(cache.access(addr), hit)
                     << "round " << round << " access " << i;
