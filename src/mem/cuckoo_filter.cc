@@ -76,7 +76,57 @@ CuckooFilter::CuckooFilter(std::size_t capacity, unsigned fingerprint_bits,
     // every relocation kick is futile. Only capacities <= 3 are
     // affected; any capacity >= 4 already sizes to >= 2 buckets.
     numBuckets_ = std::max<std::size_t>(2, nextPow2(wanted));
-    table_.assign(numBuckets_ * kSlotsPerBucket, 0);
+    // Uninitialized: only the bitmap, one bit per 64-byte line, is
+    // zeroed (1 KB for the 512 KB table of a 1 << 17 filter).
+    table_.reset(new Line[lineCount()]);
+    written_.assign((lineCount() + 63) / 64, 0);
+}
+
+CuckooFilter::CuckooFilter(const CuckooFilter &other)
+    : numBuckets_(other.numBuckets_), fpBits_(other.fpBits_),
+      seed_(other.seed_), table_(new Line[other.lineCount()]),
+      written_(other.written_), count_(other.count_),
+      stats_(other.stats_), kickRng_(other.kickRng_)
+{
+    copyWrittenLines(other);
+}
+
+CuckooFilter &
+CuckooFilter::operator=(const CuckooFilter &other)
+{
+    if (this == &other)
+        return *this;
+    // A moved-from filter has no table to reuse.
+    if (!table_ || lineCount() != other.lineCount())
+        table_.reset(new Line[other.lineCount()]);
+    numBuckets_ = other.numBuckets_;
+    fpBits_ = other.fpBits_;
+    seed_ = other.seed_;
+    written_ = other.written_;
+    count_ = other.count_;
+    stats_ = other.stats_;
+    kickRng_ = other.kickRng_;
+    copyWrittenLines(other);
+    return *this;
+}
+
+void
+CuckooFilter::copyWrittenLines(const CuckooFilter &other)
+{
+    for (std::size_t w = 0; w < other.written_.size(); ++w) {
+        for (std::uint64_t bits = other.written_[w]; bits;
+             bits &= bits - 1) {
+            const std::size_t line =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            table_[line] = other.table_[line];
+        }
+    }
+}
+
+std::uint64_t
+CuckooFilter::bucketWord(std::size_t bucket) const
+{
+    return written(bucket) ? loadBucket(bucketSlots(bucket)) : 0;
 }
 
 std::uint64_t
@@ -126,7 +176,17 @@ CuckooFilter::altIndex(std::size_t idx, Fingerprint fp) const
 bool
 CuckooFilter::bucketInsert(std::size_t bucket, Fingerprint fp)
 {
-    Fingerprint *slots = table_.data() + bucket * kSlotsPerBucket;
+    Fingerprint *slots = bucketSlots(bucket);
+    if (!written(bucket)) {
+        // First write to the line: zero all 64 bytes with one fixed-
+        // size store, then mark it. Its buckets are all empty, so the
+        // lowest empty lane is lane 0.
+        const std::size_t line = bucket / kBucketsPerLine;
+        table_[line] = Line{};
+        written_[line / 64] |= std::uint64_t{1} << (line % 64);
+        slots[0] = fp;
+        return true;
+    }
     const std::uint64_t empties = zeroLanes(loadBucket(slots));
     if (!empties)
         return false;
@@ -139,20 +199,15 @@ CuckooFilter::bucketInsert(std::size_t bucket, Fingerprint fp)
 bool
 CuckooFilter::bucketErase(std::size_t bucket, Fingerprint fp)
 {
-    Fingerprint *slots = table_.data() + bucket * kSlotsPerBucket;
+    if (!written(bucket))
+        return false;
+    Fingerprint *slots = bucketSlots(bucket);
     const std::uint64_t matches = zeroLanes(
         loadBucket(slots) ^ (kLaneLsb * fp));
     if (!matches)
         return false;
     slots[lowestLane(matches)] = 0;
     return true;
-}
-
-bool
-CuckooFilter::bucketContains(std::size_t bucket, Fingerprint fp) const
-{
-    const Fingerprint *slots = table_.data() + bucket * kSlotsPerBucket;
-    return zeroLanes(loadBucket(slots) ^ (kLaneLsb * fp)) != 0;
 }
 
 bool
@@ -170,7 +225,7 @@ CuckooFilter::insertBatch(std::span<const Vpn> vpns)
     const auto prefetch = [&](std::size_t k) {
         const std::size_t bucket = indexOf(vpns[k]);
         primary[k % kPrefetchDistance] = bucket;
-        __builtin_prefetch(&table_[bucket * kSlotsPerBucket]);
+        __builtin_prefetch(bucketSlots(bucket));
     };
     const std::size_t n = vpns.size();
     for (std::size_t k = 0; k < std::min(kPrefetchDistance, n); ++k)
@@ -199,20 +254,22 @@ CuckooFilter::insertAt(std::size_t i1, Fingerprint fp)
         return true;
     }
     // Relocate: kick random victims between the two candidate buckets.
-    // The kick path is recorded so a failed insert can be unwound: the
-    // old behavior of dropping the final homeless victim silently
-    // removed an item the filter had accepted (a false negative), left
-    // the requested key stored even though insert() reported failure,
-    // and let a later erase() of that key delete another entry's
-    // duplicate fingerprint. Unwinding touches no RNG, so successful
-    // inserts and the kick sequence stay bit-identical.
+    // Every bucket a kick touches was just found full by bucketInsert,
+    // so its line is written. The kick path is recorded so a failed
+    // insert can be unwound: the old behavior of dropping the final
+    // homeless victim silently removed an item the filter had accepted
+    // (a false negative), left the requested key stored even though
+    // insert() reported failure, and let a later erase() of that key
+    // delete another entry's duplicate fingerprint. Unwinding touches
+    // no RNG, so successful inserts and the kick sequence stay
+    // bit-identical.
     std::size_t kickIdx[kMaxKicks];
     std::uint8_t kickSlot[kMaxKicks];
     std::size_t idx = kickRng_.chance(0.5) ? i1 : i2;
     for (unsigned kick = 0; kick < kMaxKicks; ++kick) {
         const unsigned victim =
             static_cast<unsigned>(kickRng_.uniformInt(kSlotsPerBucket));
-        auto &slot = table_[idx * kSlotsPerBucket + victim];
+        auto &slot = bucketSlots(idx)[victim];
         kickIdx[kick] = idx;
         kickSlot[kick] = static_cast<std::uint8_t>(victim);
         std::swap(fp, slot);
@@ -226,8 +283,7 @@ CuckooFilter::insertAt(std::size_t i1, Fingerprint fp)
     // was before the call, so failure means "not inserted", never
     // "someone else evicted".
     for (unsigned kick = kMaxKicks; kick-- > 0;) {
-        auto &slot =
-            table_[kickIdx[kick] * kSlotsPerBucket + kickSlot[kick]];
+        auto &slot = bucketSlots(kickIdx[kick])[kickSlot[kick]];
         std::swap(fp, slot);
     }
     ++stats_.insertFailures;
@@ -253,8 +309,10 @@ CuckooFilter::contains(Vpn vpn) const
     ++stats_.lookups;
     const Fingerprint fp = fingerprintOf(vpn);
     const std::size_t i1 = indexOf(vpn);
-    const bool hit = bucketContains(i1, fp) ||
-                     bucketContains(altIndex(i1, fp), fp);
+    // An unwritten line reads 0, which matches no fingerprint.
+    const std::uint64_t lanes = kLaneLsb * fp;
+    const bool hit = zeroLanes(bucketWord(i1) ^ lanes) != 0 ||
+                     zeroLanes(bucketWord(altIndex(i1, fp)) ^ lanes) != 0;
     if (hit)
         ++stats_.positives;
     return hit;

@@ -6,12 +6,19 @@
  * The filter answers "might this VPN be translatable locally?" with no
  * false negatives and a small, organic false-positive rate. Supports
  * insertion and deletion so the GPM can remove evicted cached PTEs.
+ *
+ * The table is built lazily: it is allocated uninitialized, and a
+ * zeroed bitmap marks the 64-byte lines written so far. A line whose
+ * bit is clear reads as all-empty without touching the table, and its
+ * first write zeroes it. A filter sized for a GPM's whole memory but
+ * seeded with a few thousand pages never pays for the rest.
  */
 
 #ifndef HDPAT_MEM_CUCKOO_FILTER_HH
 #define HDPAT_MEM_CUCKOO_FILTER_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,6 +59,13 @@ class CuckooFilter
                           unsigned fingerprint_bits = 12,
                           std::uint64_t seed = 0x5bd1e995u);
 
+    /** Copies the bitmap and only the lines it marks as written. */
+    CuckooFilter(const CuckooFilter &other);
+    /** As the copy constructor; keeps this table when sizes match. */
+    CuckooFilter &operator=(const CuckooFilter &other);
+    CuckooFilter(CuckooFilter &&) = default;
+    CuckooFilter &operator=(CuckooFilter &&) = default;
+
     /**
      * Insert @p vpn.
      * @return false if the filter is too full (after max relocations).
@@ -82,20 +96,24 @@ class CuckooFilter
     std::size_t size() const { return count_; }
 
     /** Total slots (4 per bucket). */
-    std::size_t slotCount() const { return table_.size(); }
+    std::size_t slotCount() const { return numBuckets_ * kSlotsPerBucket; }
 
     /** Load factor in [0, 1]. */
     double loadFactor() const
     {
         return static_cast<double>(count_) /
-               static_cast<double>(table_.size());
+               static_cast<double>(slotCount());
     }
 
     const Stats &stats() const { return stats_; }
     Stats &stats() { return stats_; }
 
-    /** The slot array: bucket b is [4b, 4b+4), 0 marks an empty slot. */
-    std::span<const std::uint16_t> slots() const { return table_; }
+    /**
+     * The four slots of bucket @p bucket (< slotCount() / 4) as one
+     * word, slot s in bits [16s, 16s + 16); 0 marks an empty slot, so
+     * a bucket on a never-written line reads 0.
+     */
+    std::uint64_t bucketWord(std::size_t bucket) const;
 
     static constexpr unsigned kSlotsPerBucket = 4;
     static constexpr unsigned kMaxKicks = 500;
@@ -109,6 +127,34 @@ class CuckooFilter
   private:
     using Fingerprint = std::uint16_t;
 
+    /** One host cache line of the table: 8 buckets of 4 slots. */
+    struct alignas(64) Line
+    {
+        Fingerprint slots[32];
+    };
+    static constexpr std::size_t kBucketsPerLine =
+        sizeof(Line) / (kSlotsPerBucket * sizeof(Fingerprint));
+
+    /** Lines in the table (a filter of < 8 buckets has one, partial). */
+    std::size_t lineCount() const
+    {
+        return (numBuckets_ + kBucketsPerLine - 1) / kBucketsPerLine;
+    }
+    /** Slots of @p bucket; their contents are valid once written(). */
+    Fingerprint *bucketSlots(std::size_t bucket) const
+    {
+        return table_[bucket / kBucketsPerLine].slots +
+               bucket % kBucketsPerLine * kSlotsPerBucket;
+    }
+    /** Whether @p bucket's line has been written since construction. */
+    bool written(std::size_t bucket) const
+    {
+        const std::size_t line = bucket / kBucketsPerLine;
+        return (written_[line / 64] >> (line % 64)) & 1;
+    }
+    /** Copy @p other's written lines into this (same-size) table. */
+    void copyWrittenLines(const CuckooFilter &other);
+
     std::uint64_t hash(std::uint64_t x) const;
     Fingerprint fingerprintOf(Vpn vpn) const;
     std::size_t indexOf(Vpn vpn) const;
@@ -119,13 +165,17 @@ class CuckooFilter
 
     bool bucketInsert(std::size_t bucket, Fingerprint fp);
     bool bucketErase(std::size_t bucket, Fingerprint fp);
-    bool bucketContains(std::size_t bucket, Fingerprint fp) const;
 
     std::size_t numBuckets_;
     unsigned fpBits_;
     std::uint64_t seed_;
-    /** Flat table: bucket b occupies slots [4b, 4b+4). 0 = empty. */
-    std::vector<Fingerprint> table_;
+    /**
+     * Bucket b is slots [4(b % 8), 4(b % 8) + 4) of line b / 8. 0 =
+     * empty. Uninitialized until written_ marks the line.
+     */
+    std::unique_ptr<Line[]> table_;
+    /** One bit per line of table_: set once the line is zeroed. */
+    std::vector<std::uint64_t> written_;
     std::size_t count_ = 0;
     mutable Stats stats_;
     Rng kickRng_;

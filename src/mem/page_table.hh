@@ -12,7 +12,6 @@
 #define HDPAT_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -135,8 +134,19 @@ class GlobalPageTable
     /**
      * Visit every mapping in ascending key order (ASID-major): the
      * order cuckoo filters are seeded and churn candidates drawn in.
+     * @p fn is called as fn(Vpn key, const Pte &).
      */
-    void forEachPage(const std::function<void(Vpn, const Pte &)> &fn) const;
+    template <typename Fn>
+    void forEachPage(Fn &&fn) const
+    {
+        for (Asid asid = 0; asid < spaces_.size(); ++asid) {
+            const std::vector<Pte> &space = spaces_[asid];
+            for (Vpn i = 0; i < space.size(); ++i) {
+                if (space[i].pfn != kInvalidPfn)
+                    fn(asidKey(asid, kFirstVpn + i), space[i]);
+            }
+        }
+    }
 
   private:
     /** First VPN of every address space (the null page stays unmapped). */

@@ -6,6 +6,8 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,7 +132,11 @@ TEST(CuckooFilterTest, DeterministicAcrossInstances)
 void
 expectSameState(const CuckooFilter &a, const CuckooFilter &b)
 {
-    EXPECT_TRUE(std::ranges::equal(a.slots(), b.slots()));
+    ASSERT_EQ(a.slotCount(), b.slotCount());
+    for (std::size_t bucket = 0;
+         bucket < a.slotCount() / CuckooFilter::kSlotsPerBucket; ++bucket)
+        ASSERT_EQ(a.bucketWord(bucket), b.bucketWord(bucket))
+            << "bucket " << bucket;
     EXPECT_EQ(a.size(), b.size());
     EXPECT_TRUE(a.stats() == b.stats());
 }
@@ -170,6 +176,287 @@ TEST(CuckooFilterTest, BatchInsertMatchesInsertLoop)
         for (Vpn v = 1u << 21; v < (1u << 21) + 64; ++v)
             ASSERT_EQ(loop.insert(v), batch.insert(v)) << "vpn " << v;
         expectSameState(loop, batch);
+    }
+}
+
+/**
+ * The table code before lazy lines: an eagerly zeroed flat slot vector
+ * scanned slot by slot, with the filter's sizing, hashes and kick RNG.
+ * Every slot, count and statistic of a CuckooFilter must match it.
+ */
+class ZeroedReference
+{
+  public:
+    explicit ZeroedReference(std::size_t capacity)
+    {
+        const std::size_t wanted =
+            static_cast<std::size_t>(static_cast<double>(capacity) /
+                                     (kSlots * 0.95)) + 1;
+        numBuckets_ = std::max<std::size_t>(2, std::bit_ceil(wanted));
+        table_.assign(numBuckets_ * kSlots, 0);
+    }
+
+    bool insert(Vpn vpn)
+    {
+        ++stats_.inserts;
+        std::uint16_t fp = fingerprintOf(vpn);
+        const std::size_t i1 = indexOf(vpn);
+        const std::size_t i2 = altIndex(i1, fp);
+        if (bucketInsert(i1, fp) || bucketInsert(i2, fp)) {
+            ++count_;
+            return true;
+        }
+        std::vector<std::uint16_t *> path;
+        std::size_t idx = kickRng_.chance(0.5) ? i1 : i2;
+        for (unsigned kick = 0; kick < CuckooFilter::kMaxKicks; ++kick) {
+            std::uint16_t &slot =
+                table_[idx * kSlots + kickRng_.uniformInt(kSlots)];
+            path.push_back(&slot);
+            std::swap(fp, slot);
+            idx = altIndex(idx, fp);
+            if (bucketInsert(idx, fp)) {
+                ++count_;
+                return true;
+            }
+        }
+        for (auto it = path.rbegin(); it != path.rend(); ++it)
+            std::swap(fp, **it);
+        ++stats_.insertFailures;
+        return false;
+    }
+
+    bool erase(Vpn vpn)
+    {
+        const std::uint16_t fp = fingerprintOf(vpn);
+        const std::size_t i1 = indexOf(vpn);
+        for (std::size_t bucket : {i1, altIndex(i1, fp)}) {
+            for (unsigned s = 0; s < kSlots; ++s) {
+                if (table_[bucket * kSlots + s] == fp) {
+                    table_[bucket * kSlots + s] = 0;
+                    ++stats_.deletes;
+                    --count_;
+                    return true;
+                }
+            }
+        }
+        return false;
+    }
+
+    bool contains(Vpn vpn)
+    {
+        ++stats_.lookups;
+        const std::uint16_t fp = fingerprintOf(vpn);
+        const std::size_t i1 = indexOf(vpn);
+        for (std::size_t bucket : {i1, altIndex(i1, fp)}) {
+            for (unsigned s = 0; s < kSlots; ++s) {
+                if (table_[bucket * kSlots + s] == fp) {
+                    ++stats_.positives;
+                    return true;
+                }
+            }
+        }
+        return false;
+    }
+
+    std::size_t numBuckets() const { return numBuckets_; }
+    std::size_t size() const { return count_; }
+    const CuckooFilter::Stats &stats() const { return stats_; }
+
+    /** Bucket @p bucket in CuckooFilter::bucketWord's layout. */
+    std::uint64_t bucketWord(std::size_t bucket) const
+    {
+        std::uint64_t word = 0;
+        for (unsigned s = 0; s < kSlots; ++s)
+            word |= std::uint64_t{table_[bucket * kSlots + s]} << (16 * s);
+        return word;
+    }
+
+  private:
+    static constexpr unsigned kSlots = CuckooFilter::kSlotsPerBucket;
+    static constexpr std::uint64_t kSeed = 0x5bd1e995u;
+
+    static std::uint64_t hash(std::uint64_t x)
+    {
+        x ^= kSeed;
+        x ^= x >> 33;
+        x *= 0xff51afd7ed558ccdull;
+        x ^= x >> 33;
+        x *= 0xc4ceb9fe1a85ec53ull;
+        x ^= x >> 33;
+        return x;
+    }
+
+    static std::uint16_t fingerprintOf(Vpn vpn)
+    {
+        const auto fp = static_cast<std::uint16_t>(
+            hash(vpn * 0x9e3779b97f4a7c15ull + 1) & 0xfff);
+        return fp == 0 ? 1 : fp;
+    }
+
+    std::size_t indexOf(Vpn vpn) const
+    {
+        return static_cast<std::size_t>(hash(vpn)) & (numBuckets_ - 1);
+    }
+
+    std::size_t altIndex(std::size_t idx, std::uint16_t fp) const
+    {
+        return (idx ^ static_cast<std::size_t>(hash(fp))) &
+               (numBuckets_ - 1);
+    }
+
+    /** Lowest empty slot, by ascending scan. */
+    bool bucketInsert(std::size_t bucket, std::uint16_t fp)
+    {
+        for (unsigned s = 0; s < kSlots; ++s) {
+            if (table_[bucket * kSlots + s] == 0) {
+                table_[bucket * kSlots + s] = fp;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::size_t numBuckets_ = 0;
+    std::vector<std::uint16_t> table_;
+    std::size_t count_ = 0;
+    CuckooFilter::Stats stats_;
+    Rng kickRng_{kSeed ^ 0xc0ffee};
+};
+
+/** Every bucket, the count and every statistic equal the reference's. */
+void
+expectMatches(const CuckooFilter &filter, const ZeroedReference &ref)
+{
+    ASSERT_EQ(filter.slotCount(),
+              ref.numBuckets() * CuckooFilter::kSlotsPerBucket);
+    for (std::size_t bucket = 0; bucket < ref.numBuckets(); ++bucket)
+        ASSERT_EQ(filter.bucketWord(bucket), ref.bucketWord(bucket))
+            << "bucket " << bucket;
+    EXPECT_EQ(filter.size(), ref.size());
+    EXPECT_TRUE(filter.stats() == ref.stats());
+}
+
+/**
+ * @p ops random operations on @p filter and @p ref in lockstep, keys
+ * drawn from [0x100, 0x100 + key_space): inserts (single and batched,
+ * batches up to past twice the prefetch distance), erases and
+ * lookups, @p insert_pct percent of them inserts. Small filters get a
+ * whole-state check after every operation, large ones at the end.
+ */
+void
+runMix(CuckooFilter &filter, ZeroedReference &ref, std::uint64_t seed,
+       std::size_t ops, std::uint64_t key_space, std::uint64_t insert_pct)
+{
+    Rng rng(seed);
+    const bool check_each = ref.numBuckets() <= 256;
+    std::vector<Vpn> batch;
+    for (std::size_t i = 0; i < ops; ++i) {
+        const std::uint64_t roll = rng.uniformInt(100);
+        const Vpn key = 0x100 + rng.uniformInt(key_space);
+        if (roll < insert_pct / 10) {
+            batch.resize(1 + rng.uniformInt(
+                                 2 * CuckooFilter::kPrefetchDistance + 8));
+            for (Vpn &v : batch)
+                v = 0x100 + rng.uniformInt(key_space);
+            filter.insertBatch(batch);
+            for (Vpn v : batch)
+                ref.insert(v);
+        } else if (roll < insert_pct) {
+            ASSERT_EQ(filter.insert(key), ref.insert(key)) << "op " << i;
+        } else if (roll < insert_pct + (100 - insert_pct) / 2) {
+            ASSERT_EQ(filter.erase(key), ref.erase(key)) << "op " << i;
+        } else {
+            ASSERT_EQ(filter.contains(key), ref.contains(key))
+                << "op " << i;
+        }
+        ASSERT_EQ(filter.size(), ref.size()) << "op " << i;
+        if (check_each) {
+            ASSERT_NO_FATAL_FAILURE(expectMatches(filter, ref))
+                << "op " << i;
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(expectMatches(filter, ref));
+}
+
+TEST(CuckooFilterTest, LazyLinesMatchZeroedReference)
+{
+    // Capacities 0 and 3 (2 buckets) and 10 (4 buckets) live in one
+    // partial line; 512 spans 32 lines; 1 << 17 is the GPM's 512 KB
+    // table, kept sparse as a seeded GPM's is. The small filters
+    // overload, so the kick path runs and unwinds failed inserts.
+    for (const std::size_t capacity :
+         {std::size_t{0}, std::size_t{3}, std::size_t{10},
+          std::size_t{512}, std::size_t{1} << 17}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        const bool large = capacity > 512;
+        const std::size_t ops = large ? 20000 : 1500;
+        const std::uint64_t keys = large ? 1u << 16 : 2 * capacity + 32;
+
+        CuckooFilter filter(capacity);
+        ZeroedReference ref(capacity);
+        ASSERT_NO_FATAL_FAILURE(expectMatches(filter, ref));
+        ASSERT_NO_FATAL_FAILURE(
+            runMix(filter, ref, capacity + 1, ops, keys, 60));
+        if (!large) {
+            EXPECT_GT(ref.stats().insertFailures, 0u);
+        }
+
+        // Copies of the partly written filter: constructed, assigned
+        // over a same-size filter with other lines written, over a
+        // different-size one, and over a moved-from one.
+        CuckooFilter constructed(filter);
+        CuckooFilter same_size(capacity);
+        ZeroedReference scratch(capacity);
+        ASSERT_NO_FATAL_FAILURE(
+            runMix(same_size, scratch, capacity + 2, ops / 4, keys, 80));
+        same_size = filter;
+        CuckooFilter other_size(4 * capacity + 100);
+        other_size.insert(0x42);
+        other_size = filter;
+        CuckooFilter moved_from(capacity);
+        moved_from.insert(0x42);
+        CuckooFilter thief(std::move(moved_from));
+        moved_from = filter;
+
+        // Each copy then carries on as the original does, kick RNG
+        // included.
+        for (CuckooFilter *copy :
+             {&filter, &constructed, &same_size, &other_size, &moved_from}) {
+            ZeroedReference copy_ref = ref;
+            ASSERT_NO_FATAL_FAILURE(expectMatches(*copy, copy_ref));
+            ASSERT_NO_FATAL_FAILURE(
+                runMix(*copy, copy_ref, capacity + 3, ops / 5, keys, 50));
+        }
+    }
+}
+
+TEST(CuckooFilterTest, FreshFilterOverFreedFilterIsEmpty)
+{
+    // A filter built right after a filled one of the same size is
+    // destroyed likely gets its memory back, stale fingerprints and
+    // all: every old key must still read absent.
+    for (const std::size_t capacity :
+         {std::size_t{3}, std::size_t{512}, std::size_t{1} << 17}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        std::vector<Vpn> old_keys;
+        {
+            CuckooFilter full(capacity);
+            for (Vpn v = 0x100; full.loadFactor() < 0.9; ++v) {
+                if (full.insert(v))
+                    old_keys.push_back(v);
+                else
+                    break;
+            }
+        }
+        ASSERT_FALSE(old_keys.empty());
+        CuckooFilter fresh(capacity);
+        ZeroedReference ref(capacity);
+        ASSERT_NO_FATAL_FAILURE(expectMatches(fresh, ref));
+        for (Vpn v : old_keys) {
+            ASSERT_FALSE(fresh.contains(v)) << "vpn " << v;
+            ASSERT_FALSE(fresh.erase(v)) << "vpn " << v;
+        }
+        EXPECT_EQ(fresh.size(), 0u);
     }
 }
 
