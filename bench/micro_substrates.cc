@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "hdpat/cluster_map.hh"
@@ -119,6 +120,42 @@ BENCHMARK(BM_CuckooFilterSeed)
     ->ArgName("batch")
     ->Arg(0)
     ->Arg(1);
+
+/**
+ * Lookups on dense filters: the 84 GPM filters of the 12x7 wafer at
+ * their full capacity, each holding 20,000 random keys, which writes
+ * ~91% of the 8,192 lines. Probes pick a random filter and a random
+ * VPN from the key range, so nearly all are negatives that read both
+ * buckets. Benchmark workloads seed only 1-2% of a filter; this is the
+ * shape where the per-line written bitmap check is pure overhead.
+ */
+void
+BM_CuckooFilterContainsDense(benchmark::State &state)
+{
+    constexpr std::size_t kFilters = 84;
+    constexpr std::size_t kKeysPerFilter = 20000;
+    constexpr std::uint64_t kKeyRange = std::uint64_t(1) << 30;
+    constexpr std::size_t kProbes = std::size_t(1) << 16;
+    Rng rng(0xc0ffee);
+    std::vector<CuckooFilter> filters(kFilters, CuckooFilter(1u << 17));
+    for (CuckooFilter &filter : filters)
+        for (std::size_t k = 0; k < kKeysPerFilter; ++k)
+            filter.insert(rng.uniformInt(kKeyRange));
+    std::vector<std::pair<std::size_t, Vpn>> probes(kProbes);
+    for (auto &[filter, vpn] : probes) {
+        filter = rng.uniformInt(kFilters);
+        vpn = rng.uniformInt(kKeyRange);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        (void)_;
+        const auto &[filter, vpn] = probes[i];
+        benchmark::DoNotOptimize(filters[filter].contains(vpn));
+        i = (i + 1) % kProbes;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CuckooFilterContainsDense);
 
 void
 BM_TlbLookup(benchmark::State &state)

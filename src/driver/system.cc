@@ -361,22 +361,23 @@ System::enableBackpressure(Tick window)
 
 void
 System::loadWorkload(Workload &workload, std::size_t ops_per_gpm,
-                     std::uint64_t seed)
-{
-    loadWorkload(workload, ops_per_gpm, seed, nullptr);
-}
-
-void
-System::loadWorkload(Workload &workload, std::size_t ops_per_gpm,
                      std::uint64_t seed,
                      std::shared_ptr<const StreamTable> streams)
 {
     const ProfScope prof(profiler_.get(), ProfSection::WorkloadGen);
     hdpat_fatal_if(loaded_, "System::loadWorkload called twice");
-    hdpat_fatal_if(streams && streams->numGpms() != gpms_.size(),
-                   "stream table built for "
-                       << streams->numGpms() << " GPMs, system has "
-                       << gpms_.size());
+    if (streams) {
+        hdpat_fatal_if(streams->numGpms() != gpms_.size(),
+                       "stream table built for "
+                           << streams->numGpms() << " GPMs, system has "
+                           << gpms_.size());
+        for (std::size_t i = 0; i < gpms_.size(); ++i)
+            hdpat_fatal_if(streams->gpm(i).size() != ops_per_gpm,
+                           "stream table column " << i << " holds "
+                               << streams->gpm(i).size()
+                               << " ops, loadWorkload asked for "
+                               << ops_per_gpm);
+    }
     loaded_ = true;
     workloadName_ = workload.info().abbr;
 
@@ -407,14 +408,11 @@ System::loadWorkload(Workload &workload, std::size_t ops_per_gpm,
     const double rate = workload.info().opsPerCycle * cfg_.computeScale;
     const int window = static_cast<int>(workload.info().maxOutstanding *
                                         cfg_.computeScale);
+    streams_ = streams ? std::move(streams)
+                       : StreamTable::generate(workload, gpms_.size(),
+                                               ops_per_gpm, seed);
     for (std::size_t i = 0; i < gpms_.size(); ++i) {
-        if (streams) {
-            gpms_[i]->setWork(
-                std::make_unique<ReplayStream>(streams, i));
-        } else {
-            gpms_[i]->setWork(workload.streamFor(i, gpms_.size(),
-                                                 ops_per_gpm, seed));
-        }
+        gpms_[i]->setWork(streams_->gpm(i));
         gpms_[i]->setIssueParams(rate, window);
     }
 

@@ -61,24 +61,20 @@ class System
     System &operator=(const System &) = delete;
 
     /**
-     * Allocate @p workload's buffers and hand each GPM its stream.
+     * Allocate @p workload's buffers and hand each GPM its column of
+     * @p streams, a memoized table from the WorkloadStreamCache whose
+     * columns must be @p ops_per_gpm long. A null table is generated
+     * here from Workload::streamFor. The system holds the table until
+     * it is destroyed: the GPMs issue straight from its columns, and a
+     * cached table is safely shared with concurrent runs of the same
+     * key.
      *
      * @param ops_per_gpm Memory operations each GPM executes.
      * @param seed RNG seed (per-GPM seeds are derived from it).
      */
     void loadWorkload(Workload &workload, std::size_t ops_per_gpm,
-                      std::uint64_t seed);
-
-    /**
-     * Same, but replay @p streams (a memoized table from the
-     * WorkloadStreamCache) instead of generating addresses. The system
-     * takes a shared const view -- the table outlives the run and is
-     * safely shared with concurrent runs of the same key. @p workload
-     * still performs the buffer allocation (page-table state, homes).
-     */
-    void loadWorkload(Workload &workload, std::size_t ops_per_gpm,
                       std::uint64_t seed,
-                      std::shared_ptr<const StreamTable> streams);
+                      std::shared_ptr<const StreamTable> streams = nullptr);
 
     /** Record the (tick, VPN) stream arriving at the IOMMU. */
     void setCaptureIommuTrace(bool on) { iommu_->setCaptureTrace(on); }
@@ -255,6 +251,8 @@ class System
     ClusterMap clusterMap_;
     DistributedGroups groups_;
     std::unique_ptr<Iommu> iommu_;
+    /** The loaded ops; declared before gpms_, which hold spans into it. */
+    std::shared_ptr<const StreamTable> streams_;
     std::vector<std::unique_ptr<Gpm>> gpms_;
     std::vector<Gpm *> gpmByTile_;
     MetricRegistry registry_;

@@ -213,9 +213,9 @@ Gpm::sweepResidentTranslations(Auditor &auditor) const
 }
 
 void
-Gpm::setWork(std::unique_ptr<AddressStream> stream)
+Gpm::setWork(std::span<const Addr> ops)
 {
-    stream_ = std::move(stream);
+    ops_ = ops;
 }
 
 void
@@ -235,11 +235,6 @@ Gpm::seedLocalPages(std::span<const Vpn> vpns)
 void
 Gpm::start()
 {
-    if (!stream_) {
-        streamDone_ = true;
-        checkFinished();
-        return;
-    }
     if (!issueScheduled_) {
         issueScheduled_ = true;
         engine_.scheduleIn(0, [this] {
@@ -269,15 +264,15 @@ Gpm::tryIssue()
     // only ever completes in a later event, so the window count below
     // covers every op issued here.
     while (outstanding_ < issueWindow_ && nextIssueTime_ < now + 1.0) {
-        std::optional<Addr> va = stream_->next();
-        if (!va) {
+        if (next_ == ops_.size()) {
             streamDone_ = true;
             break;
         }
+        const Addr va = ops_[next_++];
         ++outstanding_;
         ++stats_.opsIssued;
         nextIssueTime_ += 1.0 / issueRate_;
-        beginOp(*va, keyOf(*va));
+        beginOp(va, keyOf(va));
     }
     if (streamDone_) {
         checkFinished();

@@ -45,7 +45,6 @@
 #include "obs/trace.hh"
 #include "sim/engine.hh"
 #include "sim/stats.hh"
-#include "workloads/address_stream.hh"
 
 namespace hdpat
 {
@@ -145,8 +144,12 @@ class Gpm : public PeerEndpoint
      */
     void seedLocalPages(std::span<const Vpn> vpns);
 
-    /** Assign this GPM's slice of the workload. */
-    void setWork(std::unique_ptr<AddressStream> stream);
+    /**
+     * Assign this GPM's slice of the workload: the addresses it
+     * issues, in order. The caller keeps @p ops alive until the run
+     * ends.
+     */
+    void setWork(std::span<const Addr> ops);
 
     /**
      * Address space newly issued ops translate under (tenancy). Ops
@@ -398,7 +401,10 @@ class Gpm : public PeerEndpoint
     Resource *bpLlTlb_ = nullptr;
 
     // Issue engine state.
-    std::unique_ptr<AddressStream> stream_;
+    std::span<const Addr> ops_;
+    /** Index of the next op to issue. */
+    std::size_t next_ = 0;
+    /** Set by the first draw past the end of ops_. */
     bool streamDone_ = false;
     int outstanding_ = 0;
     /** Memory-op issue rate (ops/cycle) and window for this run. */

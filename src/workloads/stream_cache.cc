@@ -38,6 +38,18 @@ StreamTable::totalOps() const
                            });
 }
 
+std::shared_ptr<const StreamTable>
+StreamTable::generate(const Workload &workload, std::size_t num_gpms,
+                      std::size_t ops_per_gpm, std::uint64_t seed)
+{
+    std::vector<std::vector<Addr>> per_gpm;
+    per_gpm.reserve(num_gpms);
+    for (std::size_t i = 0; i < num_gpms; ++i)
+        per_gpm.push_back(
+            workload.streamFor(i, num_gpms, ops_per_gpm, seed));
+    return std::make_shared<const StreamTable>(std::move(per_gpm));
+}
+
 WorkloadStreamCache &
 WorkloadStreamCache::shared()
 {
@@ -69,15 +81,8 @@ WorkloadStreamCache::buildTable(const StreamKey &key)
     }
     pt.setActiveAsid(0);
 
-    std::vector<std::vector<Addr>> per_gpm(key.numGpms);
-    for (std::size_t i = 0; i < key.numGpms; ++i) {
-        const auto stream = workload->streamFor(i, key.numGpms,
-                                                key.opsPerGpm, key.seed);
-        per_gpm[i].reserve(key.opsPerGpm);
-        while (const std::optional<Addr> addr = stream->next())
-            per_gpm[i].push_back(*addr);
-    }
-    return std::make_shared<const StreamTable>(std::move(per_gpm));
+    return StreamTable::generate(*workload, key.numGpms, key.opsPerGpm,
+                                 key.seed);
 }
 
 std::shared_ptr<const StreamTable>

@@ -35,10 +35,11 @@
 #include <vector>
 
 #include "sim/types.hh"
-#include "workloads/address_stream.hh"
 
 namespace hdpat
 {
+
+class Workload;
 
 /** Everything the generated addresses depend on. */
 struct StreamKey
@@ -75,6 +76,14 @@ class StreamTable
     {
     }
 
+    /**
+     * One Workload::streamFor column per GPM of an allocated
+     * @p workload.
+     */
+    static std::shared_ptr<const StreamTable>
+    generate(const Workload &workload, std::size_t num_gpms,
+             std::size_t ops_per_gpm, std::uint64_t seed);
+
     std::size_t numGpms() const { return perGpm_.size(); }
     const std::vector<Addr> &gpm(std::size_t i) const
     {
@@ -85,34 +94,6 @@ class StreamTable
 
   private:
     std::vector<std::vector<Addr>> perGpm_;
-};
-
-/**
- * AddressStream that replays one GPM's column of a cached table.
- * Yields exactly the table's addresses, then nullopt -- identical
- * observable behavior to the lazy generator it memoizes.
- */
-class ReplayStream : public AddressStream
-{
-  public:
-    ReplayStream(std::shared_ptr<const StreamTable> table,
-                 std::size_t gpm_index)
-        : table_(std::move(table)), gpmIndex_(gpm_index)
-    {
-    }
-
-    std::optional<Addr> next() override
-    {
-        const std::vector<Addr> &addrs = table_->gpm(gpmIndex_);
-        if (cursor_ >= addrs.size())
-            return std::nullopt;
-        return addrs[cursor_++];
-    }
-
-  private:
-    std::shared_ptr<const StreamTable> table_;
-    std::size_t gpmIndex_;
-    std::size_t cursor_ = 0;
 };
 
 /**

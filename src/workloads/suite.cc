@@ -87,7 +87,7 @@ class AesWorkload : public Workload
         ttable_ = pt.allocate(256 * kKiB, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t seed) const override
     {
@@ -99,8 +99,7 @@ class AesWorkload : public Workload
                                     ttable_.numPages * ttable_.pageBytes,
                                     64, rng),
                       1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -130,7 +129,7 @@ class ReluWorkload : public Workload
         out_ = pt.allocate(info_.footprintBytes / 2, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -151,8 +150,7 @@ class ReluWorkload : public Workload
         std::vector<Channel> ch;
         ch.push_back({window(in_), 1});
         ch.push_back({window(out_), 1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -183,7 +181,7 @@ class FirWorkload : public Workload
         coeff_ = pt.allocate(64 * kKiB, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -198,8 +196,7 @@ class FirWorkload : public Workload
                                        4 * kKiB, 64, 1u << 20, 0),
                       1});
         ch.push_back({seqChannel(out.base, out.bytes, 64), 2});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -229,7 +226,7 @@ class ScWorkload : public Workload
         out_ = pt.allocate(info_.footprintBytes / 2, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -243,8 +240,7 @@ class ScWorkload : public Workload
                                        64, 2048, 48 * kKiB),
                       1});
         ch.push_back({seqChannel(out.base, out.bytes, 64), 2});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -274,7 +270,7 @@ class I2cWorkload : public Workload
         cols_ = pt.allocate(info_.footprintBytes / 2, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -288,8 +284,7 @@ class I2cWorkload : public Workload
                                        64 * kKiB, 64, 2048, 16 * kKiB),
                       2});
         ch.push_back({seqChannel(cols.base, cols.bytes, 64), 2});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -318,7 +313,7 @@ class KmWorkload : public Workload
         centroids_ = pt.allocate(256 * kKiB, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -331,8 +326,7 @@ class KmWorkload : public Workload
                           centroids_.numPages * centroids_.pageBytes, 64,
                           1u << 20, 0),
                       2});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -393,7 +387,7 @@ class BtWorkload : public Workload
         data_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -409,8 +403,7 @@ class BtWorkload : public Workload
                                        butterfly::bitonicStrides(elems),
                                        256),
                       1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -433,7 +426,7 @@ class FwtWorkload : public Workload
         data_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -449,8 +442,7 @@ class FwtWorkload : public Workload
                                        butterfly::passStrides(elems),
                                        512),
                       2});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -474,7 +466,7 @@ class FftWorkload : public Workload
         twiddle_ = pt.allocate(1 * kMiB, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -499,8 +491,7 @@ class FftWorkload : public Workload
                               twiddle_.numPages * twiddle_.pageBytes, 64,
                               1u << 20, 0),
              1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -534,7 +525,7 @@ class MmWorkload : public Workload
         c_ = pt.allocate(info_.footprintBytes / 4, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -547,8 +538,7 @@ class MmWorkload : public Workload
                                          128 * kKiB, 64, gpm, n),
                       3});
         ch.push_back({seqChannel(c.base, c.bytes, 64), 1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -578,7 +568,7 @@ class MtWorkload : public Workload
         out_ = pt.allocate(info_.footprintBytes / 2, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -603,8 +593,7 @@ class MtWorkload : public Workload
                                             row_bytes, row_block_bytes,
                                             /*dwell=*/8),
                       1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -635,7 +624,7 @@ class SpmvWorkload : public Workload
         y_ = pt.allocate(info_.footprintBytes / 15, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t seed) const override
     {
@@ -651,8 +640,7 @@ class SpmvWorkload : public Workload
                                   12, rng, /*dwell=*/2),
                       2});
         ch.push_back({seqChannel(y.base, y.bytes, 64), 1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -688,7 +676,7 @@ class PrWorkload : public Workload
         ranks_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t seed) const override
     {
@@ -700,8 +688,7 @@ class PrWorkload : public Workload
                                   ranks_.numPages * ranks_.pageBytes,
                                   0.9, 12, rng, /*dwell=*/3),
                       3});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:
@@ -728,7 +715,7 @@ class FwsWorkload : public Workload
         dist_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t max_ops,
               std::uint64_t) const override
     {
@@ -748,8 +735,7 @@ class FwsWorkload : public Workload
         ch.push_back({stridedScatterChannel(block.base, block.bytes,
                                             row_bytes, 0),
                       1});
-        return std::make_unique<InterleavedStream>(std::move(ch),
-                                                   max_ops);
+        return interleave(std::move(ch), max_ops);
     }
 
   private:

@@ -7,38 +7,36 @@
 namespace hdpat
 {
 
-InterleavedStream::InterleavedStream(std::vector<Channel> channels,
-                                     std::size_t max_ops)
-    : channels_(std::move(channels)), remainingOps_(max_ops)
+std::vector<Addr>
+interleave(std::vector<Channel> channels, std::size_t max_ops)
 {
-    hdpat_fatal_if(channels_.empty(), "stream needs at least one channel");
-    credits_.reserve(channels_.size());
-    for (const Channel &c : channels_) {
+    hdpat_fatal_if(channels.empty(), "stream needs at least one channel");
+    std::vector<int> credits;
+    credits.reserve(channels.size());
+    for (const Channel &c : channels) {
         hdpat_fatal_if(c.weight <= 0, "channel weight must be positive");
-        credits_.push_back(c.weight);
+        credits.push_back(c.weight);
     }
-}
-
-std::optional<Addr>
-InterleavedStream::next()
-{
-    if (remainingOps_ == 0)
-        return std::nullopt;
-    --remainingOps_;
 
     // Round-robin by weight: serve the cursor channel until its credit
     // for this round is spent, then move on; refill when all are spent.
-    std::size_t scanned = 0;
-    while (credits_[cursor_] == 0) {
-        cursor_ = (cursor_ + 1) % channels_.size();
-        if (++scanned > channels_.size()) {
-            for (std::size_t i = 0; i < channels_.size(); ++i)
-                credits_[i] = channels_[i].weight;
-            scanned = 0;
+    std::vector<Addr> addrs;
+    addrs.reserve(max_ops);
+    std::size_t cursor = 0;
+    while (addrs.size() < max_ops) {
+        std::size_t scanned = 0;
+        while (credits[cursor] == 0) {
+            cursor = (cursor + 1) % channels.size();
+            if (++scanned > channels.size()) {
+                for (std::size_t i = 0; i < channels.size(); ++i)
+                    credits[i] = channels[i].weight;
+                scanned = 0;
+            }
         }
+        --credits[cursor];
+        addrs.push_back(channels[cursor].gen());
     }
-    --credits_[cursor_];
-    return channels_[cursor_].gen();
+    return addrs;
 }
 
 std::function<Addr()>

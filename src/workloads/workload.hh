@@ -6,11 +6,11 @@
  *
  * A workload allocates its buffers (block-partitioned across GPMs, as
  * the paper's driver model prescribes in §II-A) and then produces one
- * deterministic AddressStream per GPM. Streams are built from weighted
- * "channels", each a small generator modelling one access pattern of
- * the kernel (sequential slice walk, chunk-rotated remote stream,
- * random gather, hot-region loop, butterfly partner, large-stride
- * scatter).
+ * deterministic address vector per GPM, one virtual byte address per
+ * memory operation. Streams are built from weighted "channels", each a
+ * small generator modelling one access pattern of the kernel
+ * (sequential slice walk, chunk-rotated remote stream, random gather,
+ * hot-region loop, butterfly partner, large-stride scatter).
  */
 
 #ifndef HDPAT_WORKLOADS_WORKLOAD_HH
@@ -26,7 +26,6 @@
 #include "mem/page_table.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
-#include "workloads/address_stream.hh"
 
 namespace hdpat
 {
@@ -68,14 +67,14 @@ class Workload
                           std::span<const TileId> gpms) = 0;
 
     /**
-     * Build GPM @p gpm_index's address stream.
+     * Build GPM @p gpm_index's addresses, in issue order.
      *
      * @param gpm_index Index into the GPM list given to allocate().
      * @param num_gpms Total GPM count.
      * @param max_ops Stream length (memory operations).
      * @param seed Base RNG seed; implementations mix in gpm_index.
      */
-    virtual std::unique_ptr<AddressStream>
+    virtual std::vector<Addr>
     streamFor(std::size_t gpm_index, std::size_t num_gpms,
               std::size_t max_ops, std::uint64_t seed) const = 0;
 
@@ -83,7 +82,7 @@ class Workload
     WorkloadInfo info_;
 };
 
-/** One weighted generator inside an InterleavedStream. */
+/** One weighted generator inside an interleave(). */
 struct Channel
 {
     /** Produces the channel's next address. */
@@ -93,24 +92,13 @@ struct Channel
 };
 
 /**
- * Deterministic weighted interleave of channels, capped at max_ops.
- * Channels are serviced in a repeating schedule proportional to their
- * weights, which keeps streams reproducible without RNG in the
- * scheduler itself.
+ * Deterministic weighted interleave of channels: exactly @p max_ops
+ * addresses. Channels are serviced in a repeating schedule
+ * proportional to their weights, which keeps streams reproducible
+ * without RNG in the scheduler itself.
  */
-class InterleavedStream : public AddressStream
-{
-  public:
-    InterleavedStream(std::vector<Channel> channels, std::size_t max_ops);
-
-    std::optional<Addr> next() override;
-
-  private:
-    std::vector<Channel> channels_;
-    std::vector<int> credits_;
-    std::size_t cursor_ = 0;
-    std::size_t remainingOps_;
-};
+std::vector<Addr> interleave(std::vector<Channel> channels,
+                             std::size_t max_ops);
 
 // ---------------------------------------------------------------------
 // Channel factories. Each returns a stateful generator closure.

@@ -18,39 +18,33 @@ namespace hdpat
 namespace
 {
 
-TEST(InterleavedStreamTest, RespectsWeights)
+TEST(InterleaveTest, RespectsWeights)
 {
     // Channel A returns 0xA000..., channel B returns 0xB000...
     std::vector<Channel> channels;
     channels.push_back({[] { return Addr(0xA000); }, 3});
     channels.push_back({[] { return Addr(0xB000); }, 1});
-    InterleavedStream stream(std::move(channels), 400);
 
     std::map<Addr, int> counts;
-    while (auto a = stream.next())
-        ++counts[*a];
+    for (const Addr a : interleave(std::move(channels), 400))
+        ++counts[a];
     EXPECT_EQ(counts[0xA000], 300);
     EXPECT_EQ(counts[0xB000], 100);
 }
 
-TEST(InterleavedStreamTest, StopsAtMaxOps)
+TEST(InterleaveTest, StopsAtMaxOps)
 {
     std::vector<Channel> channels;
     channels.push_back({[] { return Addr(1); }, 1});
-    InterleavedStream stream(std::move(channels), 5);
-    int n = 0;
-    while (stream.next())
-        ++n;
-    EXPECT_EQ(n, 5);
-    EXPECT_FALSE(stream.next().has_value()); // Stays exhausted.
+    EXPECT_EQ(interleave(std::move(channels), 5),
+              std::vector<Addr>(5, 1));
 }
 
-TEST(InterleavedStreamTest, ZeroOpsIsEmpty)
+TEST(InterleaveTest, ZeroOpsIsEmpty)
 {
     std::vector<Channel> channels;
     channels.push_back({[] { return Addr(1); }, 1});
-    InterleavedStream stream(std::move(channels), 0);
-    EXPECT_FALSE(stream.next().has_value());
+    EXPECT_TRUE(interleave(std::move(channels), 0).empty());
 }
 
 TEST(ChannelTest, SeqWalksAndWraps)

@@ -5,7 +5,7 @@
  * through System with hand-built address lists.
  */
 
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,28 +17,6 @@ namespace hdpat
 {
 namespace
 {
-
-/** Stream over a fixed address list. */
-class ListStream : public AddressStream
-{
-  public:
-    explicit ListStream(std::vector<Addr> addrs)
-        : addrs_(std::move(addrs))
-    {
-    }
-
-    std::optional<Addr>
-    next() override
-    {
-        if (pos_ >= addrs_.size())
-            return std::nullopt;
-        return addrs_[pos_++];
-    }
-
-  private:
-    std::vector<Addr> addrs_;
-    std::size_t pos_ = 0;
-};
 
 /**
  * Workload with one shared buffer and per-GPM address lists produced
@@ -62,11 +40,11 @@ class ListWorkload : public Workload
         buffer_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t n, std::size_t,
               std::uint64_t) const override
     {
-        return std::make_unique<ListStream>(builder_(gpm, n, buffer_));
+        return builder_(gpm, n, buffer_);
     }
 
     const BufferHandle &buffer() const { return buffer_; }
@@ -299,6 +277,9 @@ TEST(GpmTest, EmptyStreamFinishesImmediately)
     const RunResult r = sys.run();
     EXPECT_EQ(r.opsTotal, 0u);
     EXPECT_EQ(r.totalTicks, 0u);
+    // Each of the 24 GPMs still runs its first issue event, which is
+    // where it finds its stream empty.
+    EXPECT_EQ(sys.engine().executedEvents(), 24u);
 }
 
 TEST(GpmTest, IssueRateBoundsThroughput)

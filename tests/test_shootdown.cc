@@ -28,28 +28,11 @@ class OnePageWorkload : public Workload
         buffer_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t, std::size_t, std::size_t,
               std::uint64_t) const override
     {
-        class OneShot : public AddressStream
-        {
-          public:
-            explicit OneShot(Addr a) : addr_(a) {}
-            std::optional<Addr>
-            next() override
-            {
-                if (done_)
-                    return std::nullopt;
-                done_ = true;
-                return addr_;
-            }
-
-          private:
-            Addr addr_;
-            bool done_ = false;
-        };
-        return std::make_unique<OneShot>(buffer_.baseVa);
+        return {buffer_.baseVa};
     }
 
     const BufferHandle &buffer() const { return buffer_; }

@@ -199,6 +199,19 @@ TEST(SystemIntegrationTest, DoubleLoadIsFatal)
                 testing::ExitedWithCode(1), "twice");
 }
 
+TEST(SystemIntegrationTest, TableOfOtherOpCountIsFatal)
+{
+    // Each GPM plays its column to the end, so a table built for
+    // another op count would run a different workload than asked for.
+    System sys(SystemConfig::mcm4(), TranslationPolicy::baseline());
+    auto wl = makeWorkload("AES");
+    WorkloadStreamCache cache;
+    auto table = cache.get(StreamKey{"AES", 1.0, 10, 1, sys.numGpms(),
+                                     SystemConfig::mcm4().pageShift});
+    EXPECT_EXIT(sys.loadWorkload(*wl, 20, 1, std::move(table)),
+                testing::ExitedWithCode(1), "holds 10 ops");
+}
+
 TEST(SystemIntegrationTest, RunWithoutWorkloadIsFatal)
 {
     System sys(SystemConfig::mcm4(), TranslationPolicy::baseline());

@@ -34,29 +34,11 @@ class RepeatWorkload : public Workload
         buffer_ = pt.allocate(info_.footprintBytes, gpms);
     }
 
-    std::unique_ptr<AddressStream>
+    std::vector<Addr>
     streamFor(std::size_t gpm, std::size_t num, std::size_t,
               std::uint64_t) const override
     {
-        class Repeat : public AddressStream
-        {
-          public:
-            Repeat(Addr a, std::size_t n) : addr_(a), left_(n) {}
-            std::optional<Addr>
-            next() override
-            {
-                if (left_ == 0)
-                    return std::nullopt;
-                --left_;
-                return addr_;
-            }
-
-          private:
-            Addr addr_;
-            std::size_t left_;
-        };
-        const SliceView slice = sliceOf(buffer_, gpm, num);
-        return std::make_unique<Repeat>(slice.base, n_);
+        return std::vector<Addr>(n_, sliceOf(buffer_, gpm, num).base);
     }
 
   private:

@@ -111,19 +111,13 @@ TEST_P(WorkloadParamTest, AddressesAreMappedAndDeterministic)
     wl->allocate(pt, gpms);
 
     for (std::size_t g : {std::size_t(0), std::size_t(7)}) {
-        auto s1 = wl->streamFor(g, 12, 500, 42);
-        auto s2 = wl->streamFor(g, 12, 500, 42);
-        std::size_t count = 0;
-        while (auto a1 = s1->next()) {
-            const auto a2 = s2->next();
-            ASSERT_TRUE(a2.has_value());
-            EXPECT_EQ(*a1, *a2); // Deterministic for a fixed seed.
-            EXPECT_NE(pt.translate(pt.vpnOf(*a1)), nullptr)
-                << abbr << " generated unmapped address " << *a1;
-            ++count;
-        }
-        EXPECT_EQ(count, 500u) << abbr;
-        EXPECT_FALSE(s2->next().has_value());
+        const std::vector<Addr> s1 = wl->streamFor(g, 12, 500, 42);
+        EXPECT_EQ(s1.size(), 500u) << abbr;
+        // Deterministic for a fixed seed.
+        EXPECT_EQ(s1, wl->streamFor(g, 12, 500, 42)) << abbr;
+        for (const Addr a : s1)
+            EXPECT_NE(pt.translate(pt.vpnOf(a)), nullptr)
+                << abbr << " generated unmapped address " << a;
     }
 }
 
@@ -135,11 +129,11 @@ TEST_P(WorkloadParamTest, GpmsGetDistinctStreams)
     const auto gpms = fakeGpms(12);
     wl->allocate(pt, gpms);
 
-    auto s0 = wl->streamFor(0, 12, 200, 42);
-    auto s1 = wl->streamFor(1, 12, 200, 42);
+    const std::vector<Addr> s0 = wl->streamFor(0, 12, 200, 42);
+    const std::vector<Addr> s1 = wl->streamFor(1, 12, 200, 42);
     int same = 0;
-    for (int i = 0; i < 200; ++i)
-        same += (*s0->next() == *s1->next());
+    for (std::size_t i = 0; i < 200; ++i)
+        same += (s0[i] == s1[i]);
     EXPECT_LT(same, 150) << abbr; // Different slices/chunks/seeds.
 }
 
@@ -157,10 +151,10 @@ TEST(WorkloadCharacterTest, StreamingBenchmarksAreMostlyLocal)
     const auto gpms = fakeGpms(12);
     wl->allocate(pt, gpms);
 
-    auto stream = wl->streamFor(3, 12, 2000, 7);
+    const std::vector<Addr> stream = wl->streamFor(3, 12, 2000, 7);
     int local = 0, total = 0;
-    while (auto a = stream->next()) {
-        local += (pt.homeOf(pt.vpnOf(*a)) == gpms[3]);
+    for (const Addr a : stream) {
+        local += (pt.homeOf(pt.vpnOf(a)) == gpms[3]);
         ++total;
     }
     EXPECT_GT(static_cast<double>(local) / total, 0.6);
@@ -174,10 +168,10 @@ TEST(WorkloadCharacterTest, GatherBenchmarksAreMostlyRemote)
     const auto gpms = fakeGpms(12);
     wl->allocate(pt, gpms);
 
-    auto stream = wl->streamFor(3, 12, 3000, 7);
+    const std::vector<Addr> stream = wl->streamFor(3, 12, 3000, 7);
     int remote = 0, total = 0;
-    while (auto a = stream->next()) {
-        remote += (pt.homeOf(pt.vpnOf(*a)) != gpms[3]);
+    for (const Addr a : stream) {
+        remote += (pt.homeOf(pt.vpnOf(a)) != gpms[3]);
         ++total;
     }
     EXPECT_GT(static_cast<double>(remote) / total, 0.2);
@@ -191,9 +185,9 @@ TEST(WorkloadCharacterTest, PageRankConcentratesOnHubs)
     wl->allocate(pt, gpms);
 
     std::map<Vpn, int> counts;
-    auto stream = wl->streamFor(0, 12, 8000, 7);
-    while (auto a = stream->next())
-        ++counts[pt.vpnOf(*a)];
+    const std::vector<Addr> stream = wl->streamFor(0, 12, 8000, 7);
+    for (const Addr a : stream)
+        ++counts[pt.vpnOf(a)];
     // The hottest page must take a clearly outsized share.
     int hottest = 0, total = 0;
     for (const auto &[vpn, c] : counts) {
@@ -214,9 +208,9 @@ TEST(WorkloadCharacterTest, MatrixTransposeHasLongReuseDistance)
     // The scatter half of MT must touch many distinct pages without
     // revisiting them quickly.
     std::set<Vpn> pages;
-    auto stream = wl->streamFor(0, 12, 4000, 7);
-    while (auto a = stream->next())
-        pages.insert(pt.vpnOf(*a));
+    const std::vector<Addr> stream = wl->streamFor(0, 12, 4000, 7);
+    for (const Addr a : stream)
+        pages.insert(pt.vpnOf(a));
     EXPECT_GT(pages.size(), 200u);
 }
 
@@ -232,11 +226,11 @@ TEST(WorkloadCharacterTest, FirIsPageSequential)
     // Channels interleave, so measure spatial locality on the
     // first-touch order of distinct pages: FIR's chunked input walk
     // makes most newly touched pages adjacent to the previous one.
-    auto stream = wl->streamFor(0, 12, 4000, 7);
+    const std::vector<Addr> stream = wl->streamFor(0, 12, 4000, 7);
     std::set<Vpn> seen;
     std::vector<Vpn> first_touch_order;
-    while (auto a = stream->next()) {
-        const Vpn vpn = pt.vpnOf(*a);
+    for (const Addr a : stream) {
+        const Vpn vpn = pt.vpnOf(a);
         if (seen.insert(vpn).second)
             first_touch_order.push_back(vpn);
     }
