@@ -6,11 +6,10 @@
  * (see src/fuzz/sampler.cc for the distribution), runs each in a
  * fork-isolated harness under the seven oracles listed in
  * src/fuzz/harness.hh (conservation audit, PPN reference, runMany
- * ordering and NoC-fusion differentials, latency conservation, the
- * backpressure Little's-law identity, and the tenancy staleness
- * oracle), then greedily shrinks any
- * failure to a minimal reproducer and writes it as a `.fuzzcase`
- * file ready for tests/fuzz_corpus/.
+ * ordering differential, spatial transparency, latency conservation,
+ * the backpressure Little's-law identity, and the tenancy staleness
+ * oracle), then greedily shrinks any failure to a minimal reproducer
+ * and writes it as a `.fuzzcase` file ready for tests/fuzz_corpus/.
  *
  * Usage: hdpat_fuzz [OPTION]... (--seed, --runs, --out, --timeout,
  * --replay FILE..., --multi-tenant; an unknown or malformed argument
@@ -193,7 +192,7 @@ main(int argc, char **argv)
     std::cout << "hdpat_fuzz: " << opt.runs << " cases, seed "
               << opt.seed << ", oracles: validity-prediction + "
               << "conservation/PPN audit + runMany differential + "
-              << "NoC fusion differential + latency conservation + "
+              << "spatial transparency + latency conservation + "
               << "backpressure/Little's law + tenancy staleness"
               << (opt.forceMultiTenant ? " (all cases multi-tenant)"
                                        : "")

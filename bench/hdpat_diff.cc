@@ -17,8 +17,8 @@
  * order is the one worth reading.
  *
  * Exit status: 0 when the documents are semantically identical,
- * 1 on any divergence, 2 on usage errors. CI uses this to replace
- * byte-compares of serial-vs-parallel and fused-vs-unfused runs: a
+ * 1 on any divergence, 2 on usage errors. CI uses this to compare
+ * serial and parallel sweeps instead of byte-comparing them: a
  * byte-compare says only "different"; this says *where*.
  *
  * --ignore SECTION drops a top-level section from both sides before

@@ -206,9 +206,9 @@ check(const char *section, const std::string &pct_text,
  * fail (exit 1) when the fresh value exceeds the baseline's by more
  * than @p max_regress_pct percent. Counters are simulated quantities,
  * deterministic for a fixed seed, so unlike host-time checks the
- * threshold only needs to absorb intentional model drift -- a silently
- * un-fused NoC delivery path (~20% more scheduled events on the
- * audited reference run) trips it immediately.
+ * threshold only needs to absorb intentional model drift -- NoC
+ * delivery companions run as events of their own (~20% more scheduled
+ * events on the audited reference run) trip it immediately.
  *
  * The baseline may be a BENCH_*.json record carrying a "counters"
  * object (perf_snapshot.sh embeds one from an audited run) or a full

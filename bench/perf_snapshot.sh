@@ -17,7 +17,7 @@
 #   6. captures the exported simulation counters of an audited run of
 #      the same representative command, embedded for
 #      perf_report --counter-check (the engine.events_scheduled gate
-#      that catches a silently un-fused NoC delivery path),
+#      that catches NoC delivery companions run as events of their own),
 #   7. times the same sweep with backpressure accounting on, so the
 #      resource-saturation overhead is measured and recorded like the
 #      profiler's and latency attribution's,
@@ -134,9 +134,9 @@ LATENCY_JSON="$("$REPORT" --extract-latency "$LATENCY_TMP")"
 
 # Exported simulation counters of an *audited* run of the same command,
 # embedded for perf_report --counter-check. Audited, because only runs
-# with an observer attached schedule (or fuse) delivery companion
-# events: engine.events_scheduled from this run is the number that
-# jumps ~20% if NoC arrival fusion silently stops applying.
+# with an observer attached carry NoC delivery companions:
+# engine.events_scheduled from this run is the number that jumps ~20%
+# if those companions stop riding inside the arrival events.
 COUNTER_TMP="$(mktemp --suffix=.json)"
 trap 'rm -f "$PROFILE_TMP" "$LATENCY_TMP" "$COUNTER_TMP"' EXIT
 HDPAT_AUDIT=1 HDPAT_METRICS_JSON="$COUNTER_TMP" \

@@ -28,7 +28,7 @@ constexpr int kOracleExit = 77;
  *  genuine stall; wall-clock hangs are caught by alarm(). */
 constexpr std::int64_t kWatchdogTicks = 50'000'000;
 
-/** Spatial window of oracle 4's per-hop re-run. */
+/** Spatial window of oracle 4's spatial-observed re-run. */
 constexpr std::int64_t kSpatialWindowTicks = 100'000;
 
 /**
@@ -107,14 +107,13 @@ childRun(const RunSpec &spec)
         _exit(kOracleExit);
     }
 
-    // Oracle 4: NoC delivery fusion must be a pure scheduling
-    // transform. Spatial observation forces per-hop delivery, so
-    // re-run the audited case with it on: every simulated count --
-    // including totalTicks and the retire census hash -- must match.
-    RunSpec perHop = audited;
-    perHop.obs.spatialWindow = kSpatialWindowTicks;
-    const RunResult unfused = runOnce(perHop);
-    if (!sameCounts(single, unfused, "fused vs per-hop delivery",
+    // Oracle 4: spatial observation must be a pure observer. Re-run
+    // the audited case with per-link heatmaps on: every simulated
+    // count -- including totalTicks and the retire census hash -- must
+    // match.
+    RunSpec spatial = audited;
+    spatial.obs.spatialWindow = kSpatialWindowTicks;
+    if (!sameCounts(single, runOnce(spatial), "plain vs spatial-observed",
                     &why)) {
         std::fprintf(stderr, "differential mismatch: %s\n",
                      why.c_str());

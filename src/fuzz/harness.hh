@@ -11,9 +11,9 @@
  * 3. runMany differential: the same batch executed serially, and
  *    reordered on multiple workers, must agree on translation counts,
  *    page-walk counts, and the per-(tile, VPN) retire-census digest.
- * 4. NoC fusion differential: fused and per-hop delivery are the same
- *    schedule, so every count (totalTicks included) must match when
- *    spatial observation forces the per-hop shape.
+ * 4. Spatial observation is a pure observer: re-running with per-link
+ *    heatmaps on must leave every count (totalTicks included)
+ *    unchanged.
  * 5. Latency attribution: re-running with per-stage attribution on
  *    (hash-sampled) must leave every count unchanged, and each
  *    sampled span's stage durations must sum to its end-to-end

@@ -20,42 +20,12 @@ Network::Network(Engine &engine, const MeshTopology &topo,
     linkFree_.assign(static_cast<std::size_t>(topo_.numTiles()) * 4, 0);
 }
 
-std::size_t
-Network::linkIndex(TileId tile, TileId next) const
-{
-    const Coord a = topo_.coordOf(tile);
-    const Coord b = topo_.coordOf(next);
-    unsigned dir;
-    if (b.x == a.x + 1 && b.y == a.y) {
-        dir = 0; // east
-    } else if (b.x == a.x - 1 && b.y == a.y) {
-        dir = 1; // west
-    } else if (b.y == a.y + 1 && b.x == a.x) {
-        dir = 2; // south
-    } else if (b.y == a.y - 1 && b.x == a.x) {
-        dir = 3; // north
-    } else {
-        hdpat_panic("non-adjacent link " << tile << " -> " << next);
-    }
-    return static_cast<std::size_t>(tile) * 4 + dir;
-}
-
 std::vector<TileId>
 Network::route(TileId src, TileId dst) const
 {
-    std::vector<TileId> path;
-    Coord cur = topo_.coordOf(src);
-    const Coord goal = topo_.coordOf(dst);
-    path.push_back(src);
-    // X first, then Y (dimension-ordered routing).
-    while (cur.x != goal.x) {
-        cur.x += (goal.x > cur.x) ? 1 : -1;
-        path.push_back(cur.y * topo_.width() + cur.x);
-    }
-    while (cur.y != goal.y) {
-        cur.y += (goal.y > cur.y) ? 1 : -1;
-        path.push_back(cur.y * topo_.width() + cur.x);
-    }
+    std::vector<TileId> path{src};
+    walkXY(src, dst,
+           [&](std::size_t, TileId next) { path.push_back(next); });
     return path;
 }
 
@@ -77,15 +47,10 @@ Network::computeArrival(Tick now, TileId src, TileId dst,
 
     // Walk the XY route in place rather than materializing it: this
     // runs once per packet, and the route() vector allocation shows up
-    // in whole-run profiles. Direction codes match linkIndex().
-    Coord cur = topo_.coordOf(src);
-    const Coord goal = topo_.coordOf(dst);
-    TileId tile = src;
+    // in whole-run profiles.
     std::uint64_t nhops = 0;
     double t = static_cast<double>(now);
-    const auto traverse = [&](unsigned dir, TileId next) {
-        const std::size_t link =
-            static_cast<std::size_t>(tile) * 4 + dir;
+    walkXY(src, dst, [&](std::size_t link, TileId) {
         const double depart = std::max(t, linkFree_[link]);
         stats_.linkWait.add(depart - t);
         if (spatial_) [[unlikely]]
@@ -94,20 +59,8 @@ Network::computeArrival(Tick now, TileId src, TileId dst,
             bpLinks_[link]->linkTraversed(serialize, depart - t);
         linkFree_[link] = depart + serialize;
         t = depart + serialize + static_cast<double>(params_.linkLatency);
-        tile = next;
         ++nhops;
-    };
-    // X first, then Y (dimension-ordered routing), as in route().
-    while (cur.x != goal.x) {
-        const bool east = goal.x > cur.x;
-        cur.x += east ? 1 : -1;
-        traverse(east ? 0u : 1u, cur.y * topo_.width() + cur.x);
-    }
-    while (cur.y != goal.y) {
-        const bool south = goal.y > cur.y;
-        cur.y += south ? 1 : -1;
-        traverse(south ? 2u : 3u, cur.y * topo_.width() + cur.x);
-    }
+    });
 
     stats_.byteHops += bytes * nhops;
     stats_.totalHops += nhops;
@@ -123,22 +76,9 @@ Network::send(TileId src, TileId dst, std::size_t bytes,
     const Tick arrive = computeArrival(engine_.now(), src, dst, bytes);
     if (auditor_) [[unlikely]] {
         auditor_->packetSent(bytes);
-        if (fusionActive()) {
-            // Fused: the delivered-count runs inside the arrival
-            // event, immediately before the callback -- the same
-            // adjacency same-tick FIFO gave the two-event form.
-            scheduleFused(arrive, bytes, kFuseAudit, dst, kInvalidTile,
-                          0, std::move(on_arrive));
-            return;
-        }
-        // Unfused: the delivery count is its own event, scheduled
-        // before the arrival callback: same-tick FIFO runs it first,
-        // and a dropped or never-scheduled delivery shows up as a
-        // sent != delivered imbalance at finalize().
-        Auditor *auditor = auditor_;
-        engine_.scheduleAt(arrive, [auditor, bytes] {
-            auditor->packetDelivered(bytes);
-        });
+        scheduleFused(arrive, bytes, kFuseAudit, dst, kInvalidTile, 0,
+                      std::move(on_arrive));
+        return;
     }
     engine_.scheduleAt(arrive, std::move(on_arrive));
 }
@@ -156,36 +96,13 @@ Network::sendTracedSlow(TileId src, TileId dst, std::size_t bytes,
                     SpanEvent::NetSend, src,
                     static_cast<std::uint64_t>(dst));
     const Tick arrive = computeArrival(engine_.now(), src, dst, bytes);
-    if (fusionActive()) {
-        std::uint8_t mode = kFuseTrace;
-        if (auditor_) [[unlikely]] {
-            auditor_->packetSent(bytes);
-            mode |= kFuseAudit;
-        }
-        scheduleFused(arrive, bytes, mode, dst, trace_owner, trace_vpn,
-                      std::move(on_arrive));
-        return;
-    }
+    std::uint8_t mode = kFuseTrace;
     if (auditor_) [[unlikely]] {
         auditor_->packetSent(bytes);
-        Auditor *auditor = auditor_;
-        engine_.scheduleAt(arrive, [auditor, bytes] {
-            auditor->packetDelivered(bytes);
-        });
+        mode |= kFuseAudit;
     }
-    // Two same-tick events instead of one wrapping lambda: wrapping
-    // would nest an EventFn inside another's inline storage. Same-tick
-    // FIFO order guarantees the NetArrive record lands before the
-    // delivery callback runs, exactly as the wrapped form did.
-    Tracer *tracer = tracer_;
-    engine_.scheduleAt(arrive,
-                       [tracer, trace_owner, trace_vpn, dst, arrive] {
-                           tracer->record(
-                               trace_owner, trace_vpn, arrive,
-                               SpanEvent::NetArrive, dst,
-                               static_cast<std::uint64_t>(dst));
-                       });
-    engine_.scheduleAt(arrive, std::move(on_arrive));
+    scheduleFused(arrive, bytes, mode, dst, trace_owner, trace_vpn,
+                  std::move(on_arrive));
 }
 
 void
@@ -232,8 +149,8 @@ Network::deliverFused(std::uint32_t slot)
     p.nextFree = fuseFreeHead_;
     fuseFreeHead_ = slot;
 
-    // Companion order matches the unfused schedule order: delivered
-    // count, then the NetArrive record, then the arrival callback.
+    // Delivered count, then the NetArrive record, then the arrival
+    // callback: observers see the arrival before anything it causes.
     if (mode & kFuseAudit)
         auditor_->packetDelivered(bytes);
     if (mode & kFuseTrace) {
@@ -255,14 +172,14 @@ Network::dataHop(TileId src, TileId dst, std::size_t bytes,
 void
 Network::setBackpressure(BackpressureCollector &bp)
 {
-    // Direction codes match linkIndex(): E=0, W=1, S=2, N=3.
-    static constexpr const char *kDirNames[4] = {"e", "w", "s", "n"};
+    // Link i leaves tile i / 4 in direction i % 4, named by the
+    // initial of its SpatialCollector::dirName ("e", "w", "s", "n").
     bpLinks_.resize(linkFree_.size());
     for (std::size_t i = 0; i < bpLinks_.size(); ++i) {
-        bpLinks_[i] =
-            bp.add("noc.link.t" + std::to_string(i / 4) + "." +
-                       kDirNames[i % 4],
-                   ResourceKind::Link, 0);
+        bpLinks_[i] = bp.add(
+            "noc.link.t" + std::to_string(i / 4) + "." +
+                SpatialCollector::dirName(static_cast<unsigned>(i % 4))[0],
+            ResourceKind::Link, 0);
     }
 }
 

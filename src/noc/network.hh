@@ -110,32 +110,15 @@ class Network
 
     /**
      * Conservation auditor (null = off). With one attached, send()
-     * counts the packet at departure and schedules a same-tick
-     * delivery count right before the arrival callback, so lost or
-     * duplicated deliveries surface at finalize().
+     * counts the packet at departure and its delivery inside the
+     * arrival event, right before the callback, so lost or duplicated
+     * deliveries surface at finalize().
      */
     void setAuditor(Auditor *auditor) { auditor_ = auditor; }
 
-    /** Per-link heatmap collector (null = off). Attaching one forces
-     *  unfused (per-companion-event) delivery; see fusionActive(). */
+    /** Per-link heatmap collector (null = off), fed by every link
+     *  traversal computeArrival() walks; it never affects delivery. */
     void setSpatial(SpatialCollector *spatial) { spatial_ = spatial; }
-
-    /**
-     * True when deliveries may be fused. A packet whose delivery needs
-     * observer companions (the auditor's delivered-count, the tracer's
-     * NetArrive record) then gets ONE scheduled event that performs
-     * the companions and the arrival callback back to back, instead of
-     * two or three separate same-tick events. The companions are
-     * always scheduled consecutively at the same tick, so same-tick
-     * FIFO already ran them adjacently -- folding them into one event
-     * preserves the exact global execution order and is therefore
-     * bitwise-identical in simulated behavior, while cutting
-     * engine.events_scheduled by one to two per packet in audited or
-     * traced runs. Spatial observation forces the per-companion event
-     * shape so heatmap-bearing runs execute the exact event sequence
-     * older baselines recorded.
-     */
-    bool fusionActive() const { return !spatial_; }
 
     /** Host self-profiler for the routing path (null = off). */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }
@@ -154,7 +137,7 @@ class Network
      * resource. Link occupancy is computed at send time in fractional
      * ticks (not observed via time-ordered transitions), so links
      * report busy/wait totals and are exempt from the transition
-     * oracle; see obs/backpressure.hh. Does not affect fusion.
+     * oracle; see obs/backpressure.hh.
      */
     void setBackpressure(BackpressureCollector &bp);
 
@@ -186,15 +169,47 @@ class Network
     const Stats &stats() const { return stats_; }
 
   private:
-    /** Directed link leaving @p tile toward @p next. 4 per tile. */
-    std::size_t linkIndex(TileId tile, TileId next) const;
+    /**
+     * Walk the XY route from @p src to @p dst, X first, then Y
+     * (dimension-ordered routing), calling @p fn(link, next) once per
+     * hop. @p link is the directed link taken, tile * 4 + direction
+     * (direction names in SpatialCollector::dirName); @p next is the
+     * tile it reaches.
+     */
+    template <typename Fn>
+    void walkXY(TileId src, TileId dst, Fn &&fn) const
+    {
+        Coord cur = topo_.coordOf(src);
+        const Coord goal = topo_.coordOf(dst);
+        TileId tile = src;
+        const auto hop = [&](unsigned dir) {
+            const TileId next = cur.y * topo_.width() + cur.x;
+            fn(static_cast<std::size_t>(tile) * 4 + dir, next);
+            tile = next;
+        };
+        while (cur.x != goal.x) {
+            const bool east = goal.x > cur.x;
+            cur.x += east ? 1 : -1;
+            hop(east ? 0u : 1u);
+        }
+        while (cur.y != goal.y) {
+            const bool south = goal.y > cur.y;
+            cur.y += south ? 1 : -1;
+            hop(south ? 2u : 3u);
+        }
+    }
 
     /** Out-of-line body of sendTraced for the tracing-on case. */
     void sendTracedSlow(TileId src, TileId dst, std::size_t bytes,
                         EventFn on_arrive, TileId trace_owner,
                         Vpn trace_vpn);
 
-    /** Companion work folded into a fused delivery. */
+    /**
+     * Observer companions of a delivery: the auditor's delivered-count
+     * and the tracer's NetArrive record. A packet with any is delivered
+     * by ONE event that runs them and then the arrival callback
+     * (scheduleFused); a packet with none by a plain scheduleAt.
+     */
     static constexpr std::uint8_t kFuseAudit = 1;
     static constexpr std::uint8_t kFuseTrace = 2;
 

@@ -72,7 +72,8 @@ class SpatialCollector
         std::uint64_t rttCount = 0;
     };
 
-    /** Link direction codes match Network::linkIndex. */
+    /** Name of link direction @p dir (link index % 4): the one table
+     *  of the codes Network's XY walk emits (E=0, W=1, S=2, N=3). */
     static const char *dirName(unsigned dir);
 
     SpatialCollector(std::size_t num_tiles, Tick window);

@@ -1,20 +1,19 @@
 /**
  * @file
- * NoC delivery fusion must be a pure host-side scheduling transform:
- * folding an arrival's observer companions (auditor delivered-count,
- * tracer NetArrive record) into the arrival event may change how many
- * events the engine schedules, but never any simulated result.
+ * Spatial observation must be a pure observer, and NoC delivery fusion
+ * a pure host-side scheduling transform: a packet whose delivery
+ * carries observer companions (auditor delivered-count, tracer
+ * NetArrive record) is delivered by one event that runs them and then
+ * the arrival callback, so the companions add no scheduled event and
+ * change no simulated result.
  *
- * Spatial observation forces the per-companion (per-hop) shape, which
- * is how these tests reach it. The contract, tested here end to end
- * through runOnce():
- *   - without other observers, a per-hop run matches the fused run in
- *     every simulated metric (there is nothing to fuse);
- *   - with the auditor attached, every sim-visible metric stays
- *     identical while the per-hop shape schedules the companion
- *     events that fusion folds away -- that saving is the whole point
- *     of the optimization;
- *   - attaching a spatial collector switches fusion off.
+ * The contract, tested here end to end through runOnce():
+ *   - without other observers, a spatial run matches the plain run in
+ *     every simulated metric;
+ *   - with the auditor attached, the same holds, and the audited run
+ *     schedules exactly as many events as an unaudited one;
+ *   - with spatial on, audited and audited + latency-attributed runs
+ *     schedule exactly as many events as the plain spatial run.
  */
 
 #include <sstream>
@@ -48,17 +47,17 @@ baseSpec(const SystemConfig &cfg)
     return spec;
 }
 
-/** Spatial window that forces the per-hop shape. */
+/** Spatial heatmap window of the spatial-observed runs. */
 constexpr std::int64_t kSpatialWindow = 50000;
 
 /**
- * Run @p spec fused, or per-hop (spatial observation on), dumping
- * metrics to @p path.
+ * Run @p spec plain, or with spatial observation on, dumping metrics
+ * to @p path.
  */
 RunResult
-runShape(RunSpec spec, bool per_hop, const std::string &path)
+runShape(RunSpec spec, bool spatial, const std::string &path)
 {
-    if (per_hop)
+    if (spatial)
         spec.obs.spatialWindow = kSpatialWindow;
     spec.obs.metricsJsonPath = path;
     return runOnce(spec);
@@ -125,26 +124,24 @@ eventsScheduled(const std::string &json_path)
 TEST(NocFusionDifferential, UnobservedRunsAreBitwiseIdentical)
 {
     // Fig 14 shape (7x7 MI100 wafer) and Fig 22 shape (7x12 wafer):
-    // with no observer attached there are no companion events, so the
-    // per-hop shape must not change a single simulated number.
+    // with no other observer attached, spatial observation must not
+    // change a single simulated number.
     for (const SystemConfig &cfg :
          {SystemConfig::mi100(), SystemConfig::mi100Wafer7x12()}) {
         const std::string dir = ::testing::TempDir();
-        const std::string fused_path =
-            dir + "fusion-on-" + cfg.name + ".json";
-        const std::string per_hop_path =
-            dir + "fusion-off-" + cfg.name + ".json";
+        const std::string plain_path = dir + "plain-" + cfg.name + ".json";
+        const std::string spatial_path =
+            dir + "spatial-" + cfg.name + ".json";
 
-        const RunResult fused = runShape(baseSpec(cfg), false, fused_path);
-        const RunResult per_hop =
-            runShape(baseSpec(cfg), true, per_hop_path);
+        const RunResult plain = runShape(baseSpec(cfg), false, plain_path);
+        const RunResult spatial =
+            runShape(baseSpec(cfg), true, spatial_path);
 
-        EXPECT_EQ(fused.totalTicks, per_hop.totalTicks) << cfg.name;
-        EXPECT_EQ(fused.opsTotal, per_hop.opsTotal) << cfg.name;
-        EXPECT_EQ(fused.noc.packets, per_hop.noc.packets) << cfg.name;
-        EXPECT_EQ(simulatedRows(fused_path), simulatedRows(per_hop_path))
-            << cfg.name << ": unobserved runs must not depend on the "
-            << "delivery shape";
+        EXPECT_EQ(plain.totalTicks, spatial.totalTicks) << cfg.name;
+        EXPECT_EQ(plain.opsTotal, spatial.opsTotal) << cfg.name;
+        EXPECT_EQ(plain.noc.packets, spatial.noc.packets) << cfg.name;
+        EXPECT_EQ(simulatedRows(plain_path), simulatedRows(spatial_path))
+            << cfg.name << ": spatial observation must be a pure observer";
     }
 }
 
@@ -155,37 +152,53 @@ TEST(NocFusionDifferential, AuditedRunsDifferOnlyInEngineLoad)
     RunSpec audited = plain;
     audited.obs.audit = true;
 
-    const std::string fused_path = dir + "audited-fused.json";
-    const std::string per_hop_path = dir + "audited-per-hop.json";
-    const RunResult fused = runShape(audited, false, fused_path);
-    const RunResult per_hop = runShape(audited, true, per_hop_path);
+    const std::string audited_path = dir + "audited.json";
+    const std::string spatial_path = dir + "audited-spatial.json";
+    const RunResult fused = runShape(audited, false, audited_path);
+    const RunResult spatial = runShape(audited, true, spatial_path);
 
     // Every sim-visible number -- counters, gauges, summaries,
     // histograms, run metadata -- must match; only the engine.* load
     // counters (events scheduled, pending high-water) may move.
-    EXPECT_EQ(simulatedRows(fused_path), simulatedRows(per_hop_path));
-    EXPECT_EQ(fused.auditRetireCensusHash, per_hop.auditRetireCensusHash);
+    EXPECT_EQ(simulatedRows(audited_path), simulatedRows(spatial_path));
+    EXPECT_EQ(fused.auditRetireCensusHash, spatial.auditRetireCensusHash);
 
-    // And the optimization must actually optimize. Fused, the
-    // auditor's delivered-counts ride inside the arrival events, so
-    // the audited run schedules exactly as many events as an unaudited
-    // one; per-hop, each is an event of its own.
-    const std::string plain_fused_path = dir + "plain-fused.json";
-    const std::string plain_per_hop_path = dir + "plain-per-hop.json";
-    runShape(plain, false, plain_fused_path);
-    runShape(plain, true, plain_per_hop_path);
-    EXPECT_EQ(eventsScheduled(fused_path),
-              eventsScheduled(plain_fused_path));
-    EXPECT_GT(eventsScheduled(per_hop_path),
-              eventsScheduled(plain_per_hop_path));
+    // And the optimization must actually optimize: the auditor's
+    // delivered-counts ride inside the arrival events, so the audited
+    // run schedules exactly as many events as an unaudited one.
+    const std::string plain_path = dir + "plain.json";
+    runShape(plain, false, plain_path);
+    EXPECT_EQ(eventsScheduled(audited_path), eventsScheduled(plain_path));
 }
 
-TEST(NocFusionDifferential, SpatialObservationForcesUnfusedShape)
+TEST(NocFusionDifferential, SpatialRunsFuseObserverCompanions)
 {
-    System sys(SystemConfig::mi100(), TranslationPolicy::hdpat());
-    EXPECT_TRUE(sys.network().fusionActive());
-    sys.enableSpatial(kSpatialWindow, kSpatialWindow / 4);
-    EXPECT_FALSE(sys.network().fusionActive());
+    // Spatial observation leaves delivery fused: with heatmaps on, the
+    // audited and the audited + latency-attributed (traced) runs fold
+    // their delivery companions into the arrival events, so they
+    // schedule exactly as many events as the plain spatial run.
+    const std::string dir = ::testing::TempDir();
+    const RunSpec plain = baseSpec(SystemConfig::mi100());
+    RunSpec audited = plain;
+    audited.obs.audit = true;
+    RunSpec traced = audited;
+    traced.obs.latency = true;
+
+    const std::string plain_path = dir + "spatial-plain.json";
+    const std::string audited_path = dir + "spatial-audited.json";
+    const std::string traced_path = dir + "spatial-traced.json";
+    const std::string unspatial_path = dir + "traced.json";
+    runShape(plain, true, plain_path);
+    runShape(audited, true, audited_path);
+    runShape(traced, true, traced_path);
+    runShape(traced, false, unspatial_path);
+
+    EXPECT_EQ(eventsScheduled(audited_path), eventsScheduled(plain_path));
+    EXPECT_EQ(eventsScheduled(traced_path), eventsScheduled(plain_path));
+    EXPECT_EQ(simulatedRows(plain_path), simulatedRows(audited_path));
+    // Latency attribution adds its own section, so the traced spatial
+    // run is held against the traced run without heatmaps.
+    EXPECT_EQ(simulatedRows(unspatial_path), simulatedRows(traced_path));
 }
 
 } // namespace
