@@ -48,7 +48,6 @@ struct RunResult
     std::uint64_t remoteResolutions = 0;
     std::array<std::uint64_t, kNumTranslationSources> sourceCounts{};
     SummaryStat remoteRtt;
-    std::uint64_t probesSentTotal = 0;
     std::uint64_t probesReceivedTotal = 0;
     std::uint64_t probeHitsTotal = 0;
     std::uint64_t pushesReceivedTotal = 0;

@@ -62,7 +62,6 @@ System::System(const SystemConfig &cfg, const TranslationPolicy &pol)
         if (pol_.neighborTlbProbe) {
             // Valkyrie: probe the nearest GPM (an orthogonal mesh
             // neighbour when one exists).
-            const Coord c = topo_.coordOf(gpm->tile());
             TileId best = kInvalidTile;
             int best_dist = 0;
             for (TileId other : topo_.gpmTiles()) {
@@ -75,12 +74,17 @@ System::System(const SystemConfig &cfg, const TranslationPolicy &pol)
                     best_dist = d;
                 }
             }
-            (void)c;
             gpm->setNeighborTarget(best);
         }
     }
+}
 
-    registerMetrics();
+const MetricRegistry &
+System::metrics()
+{
+    if (registry_.size() == 0)
+        registerMetrics();
+    return registry_;
 }
 
 void
@@ -95,8 +99,8 @@ System::registerMetrics()
     iommu_->registerMetrics(registry_, "iommu.");
     net_.registerMetrics(registry_, "noc.");
 
-    // Wafer-wide aggregates over all GPMs; these are what RunResult
-    // and the reports consume.
+    // Wafer-wide aggregates over all GPMs. RunResult sums the same
+    // Gpm::Stats fields in run().
     const auto sum = [this](std::uint64_t Gpm::Stats::*field) {
         return MetricRegistry::CounterFn([this, field] {
             std::uint64_t total = 0;
@@ -158,6 +162,21 @@ System::registerMetrics()
                            return static_cast<double>(
                                engine_.pendingEventsHighWater());
                        }));
+
+    // Tenancy-only counters, appended after the single-tenant set so
+    // single-tenant dumps keep their exact key order.
+    if (!tenancy_)
+        return;
+    tenancy_->registerMetrics(registry_, "tenancy.");
+    iommu_->registerTenancyMetrics(registry_, "iommu.");
+    for (auto &gpm : gpms_) {
+        gpm->registerTenancyMetrics(
+            registry_, "gpm.t" + std::to_string(gpm->tile()) + ".");
+    }
+    registry_.addCounter("gpm.stale_installs_blocked",
+                         sum(&Gpm::Stats::staleInstallsBlocked));
+    registry_.addCounter("gpm.invalidations_received",
+                         sum(&Gpm::Stats::invalidationsReceived));
 }
 
 void
@@ -302,6 +321,9 @@ System::enableTenancy(const TenancySpec &spec)
     hdpat_fatal_if(loaded_,
                    "System::enableTenancy after loadWorkload: per-ASID "
                    "allocation needs the spec first");
+    hdpat_fatal_if(registry_.size() != 0,
+                   "System::enableTenancy after metrics(): the built "
+                   "registry would lack the tenancy rows");
     const std::vector<std::string> errors = spec.validationErrors();
     if (!errors.empty()) {
         std::string msg = "invalid TenancySpec:";
@@ -326,27 +348,6 @@ System::enableTenancy(const TenancySpec &spec)
         if (home)
             home->seedLocalPages(std::span<const Vpn>(&vpn, 1));
     });
-
-    // Tenancy-only counters, appended after the single-tenant set so
-    // pre-existing dumps keep their exact key order.
-    tenancy_->registerMetrics(registry_, "tenancy.");
-    iommu_->registerTenancyMetrics(registry_, "iommu.");
-    for (auto &gpm : gpms_) {
-        gpm->registerTenancyMetrics(
-            registry_, "gpm.t" + std::to_string(gpm->tile()) + ".");
-    }
-    const auto sum = [this](std::uint64_t Gpm::Stats::*field) {
-        return MetricRegistry::CounterFn([this, field] {
-            std::uint64_t total = 0;
-            for (const auto &g : gpms_)
-                total += g->stats().*field;
-            return total;
-        });
-    };
-    registry_.addCounter("gpm.stale_installs_blocked",
-                         sum(&Gpm::Stats::staleInstallsBlocked));
-    registry_.addCounter("gpm.invalidations_received",
-                         sum(&Gpm::Stats::invalidationsReceived));
 }
 
 void
@@ -532,6 +533,22 @@ System::run()
                               << " did not finish (deadlock?)");
         result.gpmFinish.emplace_back(gpm->tile(), s.finishTick);
         result.totalTicks = std::max(result.totalTicks, s.finishTick);
+        result.opsTotal += s.opsCompleted;
+        result.l1TlbHits += s.l1TlbHits;
+        result.l2TlbHits += s.l2TlbHits;
+        result.llTlbHits += s.llTlbHits;
+        result.localWalks += s.localWalks;
+        result.cuckooFalsePositives += s.cuckooFalsePositives;
+        result.remoteOps += s.remoteOps;
+        result.remoteResolutions += s.remoteResolutions;
+        for (std::size_t i = 0; i < kNumTranslationSources; ++i)
+            result.sourceCounts[i] += s.sourceCounts[i];
+        result.remoteRtt.merge(s.remoteRtt);
+        result.probesReceivedTotal += s.probesReceived;
+        result.probeHitsTotal += s.probeHits;
+        result.pushesReceivedTotal += s.pushesReceived;
+        if (tenancy_)
+            result.staleInstallsBlocked += s.staleInstallsBlocked;
     }
 
     if (auditor_ && pt_.mutationEpoch() > 0) {
@@ -602,36 +619,9 @@ System::run()
         result.backpressure = backpressure_->snapshot(engine_.now());
     }
 
-    // Aggregated GPM-side statistics come from the metric registry's
-    // wafer-wide entries, so RunResult and every exporter read the
-    // same snapshot.
-    result.opsTotal = registry_.counterValue("gpm.ops_completed");
-    result.l1TlbHits = registry_.counterValue("gpm.l1_tlb_hits");
-    result.l2TlbHits = registry_.counterValue("gpm.l2_tlb_hits");
-    result.llTlbHits = registry_.counterValue("gpm.ll_tlb_hits");
-    result.localWalks = registry_.counterValue("gpm.local_walks");
-    result.cuckooFalsePositives =
-        registry_.counterValue("gpm.cuckoo_false_positives");
-    result.remoteOps = registry_.counterValue("gpm.remote_ops");
-    result.remoteResolutions =
-        registry_.counterValue("gpm.remote_resolutions");
-    for (std::size_t i = 0; i < kNumTranslationSources; ++i) {
-        result.sourceCounts[i] = registry_.counterValue(
-            std::string("translation.source.") +
-            translationSourceName(static_cast<TranslationSource>(i)));
-    }
-    result.remoteRtt = registry_.summaryValue("gpm.remote_rtt");
-    result.probesReceivedTotal =
-        registry_.counterValue("gpm.probes_received");
-    result.probeHitsTotal = registry_.counterValue("gpm.probe_hits");
-    result.pushesReceivedTotal =
-        registry_.counterValue("gpm.pushes_received");
-
     if (tenancy_) {
         result.contextSwitches = tenancy_->stats().contextSwitches;
         result.pagesChurned = tenancy_->stats().pagesChurned;
-        result.staleInstallsBlocked =
-            registry_.counterValue("gpm.stale_installs_blocked");
         result.pageFaults = iommu_->stats().pageFaults;
         result.faultsServiced = iommu_->stats().faultsServiced;
         if (auditor_) {

@@ -154,7 +154,8 @@ class System
      * page's last home), and the tenancy-only metrics. Must be called
      * before loadWorkload (per-ASID allocation) and before
      * enableBackpressure (the fault queue registers only once a fault
-     * handler exists). Bitwise-invisible when never called.
+     * handler exists) and before metrics() (the tenancy rows join the
+     * registry when it is built). Bitwise-invisible when never called.
      */
     void enableTenancy(const TenancySpec &spec);
 
@@ -203,8 +204,12 @@ class System
     const SystemConfig &config() const { return cfg_; }
     const TranslationPolicy &policy() const { return pol_; }
 
-    /** Every metric this system can report, in registration order. */
-    const MetricRegistry &metrics() const { return registry_; }
+    /**
+     * Every metric this system can report, in registration order. The
+     * registry is built on the first call; its rows read the live
+     * component stats, so later calls see current values.
+     */
+    const MetricRegistry &metrics();
     /** The span tracer (null unless enableTracing was called). */
     const Tracer *tracer() const { return tracer_.get(); }
     /** Latency collector (null unless enableLatency was called). */
@@ -237,7 +242,7 @@ class System
     static MeshTopology buildTopology(const SystemConfig &cfg,
                                       const TranslationPolicy &pol);
 
-    /** Register every component's metrics (called once from ctor). */
+    /** Register every component's metrics (first metrics() call). */
     void registerMetrics();
 
     SystemConfig cfg_;

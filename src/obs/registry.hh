@@ -7,8 +7,7 @@
  * time series (TimeSeries) under hierarchical dotted names
  * ("iommu.walks_completed", "gpm.t5.l1_tlb_hits"). Registration stores
  * a *getter*, not a copy, so the registry imposes zero cost on the hot
- * path: values are read only when a snapshot is taken (RunResult
- * aggregation, JSON export).
+ * path: values are read only when a snapshot is taken (JSON export).
  */
 
 #ifndef HDPAT_OBS_REGISTRY_HH

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "driver/runner.hh"
 #include "driver/system.hh"
@@ -43,25 +45,45 @@ TEST(ObsSystemTest, RegistryAgreesWithRunResult)
     const RunResult r = sys.run();
     const MetricRegistry &reg = sys.metrics();
 
-    // The RunResult aggregates are registry snapshots; both views must
-    // agree exactly.
+    // run() sums Gpm::Stats into RunResult; the registry's wafer-wide
+    // rows sum the same fields through their own getters. The two
+    // computations must agree exactly.
     EXPECT_EQ(reg.counterValue("gpm.ops_completed"), r.opsTotal);
     EXPECT_EQ(reg.counterValue("gpm.l1_tlb_hits"), r.l1TlbHits);
     EXPECT_EQ(reg.counterValue("gpm.l2_tlb_hits"), r.l2TlbHits);
     EXPECT_EQ(reg.counterValue("gpm.ll_tlb_hits"), r.llTlbHits);
     EXPECT_EQ(reg.counterValue("gpm.local_walks"), r.localWalks);
+    EXPECT_EQ(reg.counterValue("gpm.cuckoo_false_positives"),
+              r.cuckooFalsePositives);
     EXPECT_EQ(reg.counterValue("gpm.remote_ops"), r.remoteOps);
     EXPECT_EQ(reg.counterValue("gpm.remote_resolutions"),
               r.remoteResolutions);
+    EXPECT_EQ(reg.counterValue("gpm.probes_received"),
+              r.probesReceivedTotal);
+    EXPECT_EQ(reg.counterValue("gpm.probe_hits"), r.probeHitsTotal);
+    EXPECT_EQ(reg.counterValue("gpm.pushes_received"),
+              r.pushesReceivedTotal);
     for (std::size_t i = 0; i < kNumTranslationSources; ++i) {
         const std::string name =
             std::string("translation.source.") +
             translationSourceName(static_cast<TranslationSource>(i));
         EXPECT_EQ(reg.counterValue(name), r.sourceCounts[i]) << name;
     }
+    // Both merge the per-GPM summaries in tile order, so even the
+    // floating-point fields are bit-identical.
     const SummaryStat rtt = reg.summaryValue("gpm.remote_rtt");
     EXPECT_EQ(rtt.count(), r.remoteRtt.count());
-    EXPECT_DOUBLE_EQ(rtt.sum(), r.remoteRtt.sum());
+    EXPECT_EQ(rtt.sum(), r.remoteRtt.sum());
+    EXPECT_EQ(rtt.min(), r.remoteRtt.min());
+    EXPECT_EQ(rtt.max(), r.remoteRtt.max());
+    EXPECT_EQ(rtt.variance(), r.remoteRtt.variance());
+
+    // The run exercised the compared paths, so no check above is a
+    // comparison of two zeros.
+    EXPECT_GT(r.remoteOps, 0u);
+    EXPECT_GT(r.probesReceivedTotal, 0u);
+    EXPECT_GT(r.pushesReceivedTotal, 0u);
+    EXPECT_GT(r.remoteRtt.count(), 0u);
 
     // Per-tile counters sum to the wafer-wide aggregate.
     std::uint64_t per_tile = 0;
@@ -70,6 +92,61 @@ TEST(ObsSystemTest, RegistryAgreesWithRunResult)
             "gpm.t" + std::to_string(sys.gpm(i).tile()) +
             ".ops_completed");
     EXPECT_EQ(per_tile, r.opsTotal);
+}
+
+TEST(ObsSystemTest, TenancyRowsFollowSingleTenantRows)
+{
+    System sys(smallConfig(), TranslationPolicy::hdpat());
+    TenancySpec tenancy;
+    tenancy.asidCount = 2;
+    tenancy.switchRatePerMTicks = 400;
+    // Churn fast enough that some walk results land after their
+    // page's shootdown and are blocked.
+    tenancy.churnRatePerMTicks = 3000;
+    sys.enableTenancy(tenancy);
+    auto wl = makeWorkload("PR");
+    sys.loadWorkload(*wl, 1000, 11);
+    const RunResult r = sys.run();
+    const MetricRegistry &reg = sys.metrics();
+
+    EXPECT_GT(r.pagesChurned, 0u);
+    EXPECT_GT(r.staleInstallsBlocked, 0u);
+    EXPECT_EQ(reg.counterValue("gpm.stale_installs_blocked"),
+              r.staleInstallsBlocked);
+    EXPECT_EQ(reg.counterValue("tenancy.context_switches"),
+              r.contextSwitches);
+    EXPECT_EQ(reg.counterValue("tenancy.pages_churned"), r.pagesChurned);
+    EXPECT_EQ(reg.counterValue("iommu.page_faults"), r.pageFaults);
+
+    // A single-tenant system's rows are a prefix of the multi-tenant
+    // list, so every tenancy row comes after every single-tenant row
+    // and single-tenant dumps keep their key order.
+    const auto names = [](const MetricRegistry &m) {
+        std::vector<std::string> out;
+        m.forEach([&out](const std::string &name,
+                         const MetricRegistry::Value &) {
+            out.push_back(name);
+        });
+        return out;
+    };
+    System plain(smallConfig(), TranslationPolicy::hdpat());
+    const std::vector<std::string> single = names(plain.metrics());
+    const std::vector<std::string> multi = names(reg);
+    ASSERT_GT(multi.size(), single.size());
+    EXPECT_TRUE(std::equal(single.begin(), single.end(), multi.begin()));
+    EXPECT_TRUE(std::any_of(multi.begin() + single.size(), multi.end(),
+                            [](const std::string &name) {
+                                return name.starts_with("tenancy.");
+                            }));
+}
+
+TEST(ObsSystemDeathTest, EnableTenancyAfterMetricsIsFatal)
+{
+    System sys(smallConfig(), TranslationPolicy::hdpat());
+    (void)sys.metrics();
+    TenancySpec tenancy;
+    tenancy.asidCount = 2;
+    EXPECT_DEATH(sys.enableTenancy(tenancy), "after metrics");
 }
 
 TEST(ObsSystemTest, SampledSpansOpenAndClose)
